@@ -22,6 +22,7 @@ import (
 
 	gdi "github.com/gdi-go/gdi"
 	"github.com/gdi-go/gdi/internal/analytics"
+	"github.com/gdi-go/gdi/internal/baseline/graph500"
 	"github.com/gdi-go/gdi/internal/kron"
 	"github.com/gdi-go/gdi/internal/workload"
 )
@@ -131,13 +132,13 @@ func BenchmarkAblation_EdgeWeight(b *testing.B) {
 // (one blocking AssociateVertex round-trip per frontier vertex) against the
 // batched path (AssociateVertices: one vectored fetch train per owner rank
 // and level) under injected remote latency — the §5.6 overlap/batching
-// design choice. The workload is the one-sided BFS (BFSDirect), where every
+// design choice. The workload is a one-sided BFS (oneSidedBFS), where every
 // rank traverses from its own root fetching remote holders directly, so
 // roughly (ranks-1)/ranks of every frontier is remote. With
 // RemoteLatencyNs = 1000 at 8 ranks the batched expansion collapses
 // per-vertex round-trips into per-owner-rank ones and wins by far more
-// than 2x. The owner-routed collective BFS/KHop use the same batch entry
-// point for their (owner-local) frontier fetches.
+// than 2x. Before timing, both variants' reached-vertex counts are checked
+// against the Graph500 reference BFS, one root per rank.
 func BenchmarkAblation_FrontierBatching(b *testing.B) {
 	cfg := kron.Config{Scale: 9, EdgeFactor: 8, Seed: 7, NumLabels: 4, NumProps: 3}.WithDefaults()
 	const ranks = 8
@@ -153,18 +154,81 @@ func BenchmarkAblation_FrontierBatching(b *testing.B) {
 	if err := workload.LoadGDA(rt, db, cfg, sch); err != nil {
 		b.Fatal(err)
 	}
-	g := &analytics.Graph{DB: db, Schema: sch}
-	run := func(b *testing.B, bfs func(*gdi.Process, *analytics.Graph, uint64) (int64, int, error)) {
+	ref := kron.BuildCSR(cfg)
+	for _, batched := range []bool{false, true} {
+		rt.Run(db, func(p *gdi.Process) {
+			root := uint64(p.Rank())
+			got, err := oneSidedBFS(p, root, batched)
+			if want := int64(graph500.Visited(graph500.BFS(ref, root, 0))); err != nil || got != want {
+				b.Errorf("batched=%v root=%d: visited %d (err %v), Graph500 %d", batched, root, got, err, want)
+			}
+		})
+	}
+	if b.Failed() {
+		b.FailNow()
+	}
+	run := func(b *testing.B, batched bool) {
 		for i := 0; i < b.N; i++ {
 			rt.Run(db, func(p *gdi.Process) {
-				if _, _, err := bfs(p, g, uint64(p.Rank())); err != nil {
+				if _, err := oneSidedBFS(p, uint64(p.Rank()), batched); err != nil {
 					b.Error(err)
 				}
 			})
 		}
 	}
-	b.Run("scalar", func(b *testing.B) { run(b, analytics.BFSDirectScalar) })
-	b.Run("batched", func(b *testing.B) { run(b, analytics.BFSDirect) })
+	b.Run("scalar", func(b *testing.B) { run(b, false) })
+	b.Run("batched", func(b *testing.B) { run(b, true) })
+}
+
+// oneSidedBFS traverses from rootApp entirely on the calling process: every
+// frontier holder, local or remote, is fetched directly with one-sided reads
+// — one AssociateVertices call (one vectored read train per owner rank and
+// level) when batched, one blocking AssociateVertex per vertex otherwise.
+// The other ranks run no traversal code; they only take part in the
+// collective transaction's delimiting barriers. Collective: every rank
+// calls it with its own root. It returns the reached-vertex count.
+func oneSidedBFS(p *gdi.Process, rootApp uint64, batched bool) (int64, error) {
+	tx := p.StartCollectiveTransaction(gdi.ReadOnly)
+	defer tx.Commit()
+	root, err := tx.TranslateVertexID(rootApp)
+	if err != nil {
+		return 0, err
+	}
+	seen := map[gdi.VertexID]bool{root: true}
+	frontier := []gdi.VertexID{root}
+	var visited int64
+	for len(frontier) > 0 {
+		visited += int64(len(frontier))
+		var handles []*gdi.Vertex
+		if batched {
+			if handles, err = tx.AssociateVertices(frontier); err != nil {
+				return 0, err
+			}
+		} else {
+			handles = make([]*gdi.Vertex, len(frontier))
+			for i, v := range frontier {
+				if handles[i], err = tx.AssociateVertex(v); err != nil {
+					return 0, err
+				}
+			}
+		}
+		var next []gdi.VertexID
+		for _, h := range handles {
+			if h == nil {
+				continue
+			}
+			if err := h.ForEachNeighbor(gdi.MaskAll, func(nb gdi.VertexID) {
+				if !seen[nb] {
+					seen[nb] = true
+					next = append(next, nb)
+				}
+			}); err != nil {
+				return 0, err
+			}
+		}
+		frontier = next
+	}
+	return visited, nil
 }
 
 // BenchmarkAblation_CommitBatching compares the scalar commit protocol (one
@@ -283,52 +347,6 @@ func BenchmarkAblation_CommitBatching(b *testing.B) {
 	}
 	b.Run("scalar", func(b *testing.B) { run(b, true) })
 	b.Run("batched", func(b *testing.B) { run(b, false) })
-}
-
-// BenchmarkAnalyticsAblation compares the map-based analytics engine
-// (map[VertexID] adjacency, per-edge message structs, channel-mail exchange)
-// against the dense CSR engine (index-compacted snapshot, flat value arrays,
-// one-sided inbox PUT trains) on PageRank — the iterative kernel whose
-// per-edge work dominates. The map engine's channel exchange bypasses the
-// latency model entirely, so the dense engine wins purely on data
-// organization: zero map lookups and zero per-edge allocations on the
-// iteration path, while additionally paying the modeled one PUT train per
-// owner rank and iteration. PageRank runs to convergence depth (i=50 — the
-// paper's i=10 is a throughput snapshot, Graphalytics runs to a tolerance),
-// so the measurement is dominated by the iteration engine the knob swaps
-// rather than the one-time snapshot fetch both engines share. With
-// RemoteLatencyNs = 1000 at 8 ranks the dense engine must win by at
-// least 2x.
-func BenchmarkAnalyticsAblation(b *testing.B) {
-	cfg := kron.Config{Scale: 11, EdgeFactor: 16, Seed: 5, NumLabels: 4, NumProps: 3}.WithDefaults()
-	const ranks = 8
-	const iters = 50
-	run := func(b *testing.B, dense bool) {
-		rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
-		db := rt.CreateDatabase(gdi.DatabaseParams{
-			BlockSize:      512,
-			BlocksPerRank:  int((cfg.NumVertices()*12+cfg.NumEdges()*2)/ranks) + (1 << 13),
-			DenseAnalytics: dense,
-		})
-		sch, err := kron.DefineSchema(db.Engine(), cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := workload.LoadGDA(rt, db, cfg, sch); err != nil {
-			b.Fatal(err)
-		}
-		g := &analytics.Graph{DB: db, Schema: sch}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rt.Run(db, func(p *gdi.Process) {
-				if _, _, err := analytics.PageRank(p, g, iters, 0.85); err != nil {
-					b.Error(err)
-				}
-			})
-		}
-	}
-	b.Run("map-engine", func(b *testing.B) { run(b, false) })
-	b.Run("dense-csr", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkCacheAblation compares the locked, uncached read path (every
@@ -771,10 +789,9 @@ func BenchmarkHTAPAblation(b *testing.B) {
 	)
 	rt := gdi.Init(ranks, gdi.RuntimeOptions{RemoteLatencyNs: 1000})
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:      512,
-		BlocksPerRank:  int((cfg.NumVertices()*12+cfg.NumEdges()*2)/ranks) + (1 << 14),
-		DenseAnalytics: true,
-		HTAPSnapshots:  true,
+		BlockSize:     512,
+		BlocksPerRank: int((cfg.NumVertices()*12+cfg.NumEdges()*2)/ranks) + (1 << 14),
+		HTAPSnapshots: true,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {

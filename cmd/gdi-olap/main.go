@@ -30,7 +30,6 @@ func main() {
 	iters := flag.Int("iters", 10, "iterations for pagerank (cdlp uses 5, wcc runs to convergence)")
 	seed := flag.Int64("seed", 1, "generator seed")
 	cacheBlocks := flag.Bool("cache-blocks", false, "enable the per-process version-validated block cache; repeated frontier reads are served locally")
-	denseAnalytics := flag.Bool("dense-analytics", false, "run the iterative kernels on the dense CSR engine: index-compacted snapshots, direction-optimizing BFS, one-sided exchange")
 	htap := flag.Bool("htap", false, "run the kernels over a live snapshot cut while an open-loop OLTP load keeps committing; reports the load's served QPS next to each algorithm's wall time (bfs and pagerank only)")
 	holderCodec := flag.String("holder-codec", "v1", `holder wire format — "v1" (fixed-width records) or "v2" (delta+varint edge runs; CSR snapshot builds read them in place); reads auto-detect per holder`)
 	flag.Parse()
@@ -53,12 +52,11 @@ func main() {
 	}
 	rt := gdi.Init(*ranks)
 	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize:      512,
-		BlocksPerRank:  int((cfg.NumVertices()*12+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
-		CacheBlocks:    *cacheBlocks,
-		DenseAnalytics: *denseAnalytics,
-		HTAPSnapshots:  *htap,
-		HolderCodec:    codec,
+		BlockSize:     512,
+		BlocksPerRank: int((cfg.NumVertices()*12+cfg.NumEdges()*2)/uint64(*ranks)) + (1 << 13),
+		CacheBlocks:   *cacheBlocks,
+		HTAPSnapshots: *htap,
+		HolderCodec:   codec,
 	})
 	sch, err := kron.DefineSchema(db.Engine(), cfg)
 	if err != nil {
@@ -74,8 +72,8 @@ func main() {
 		runHTAP(rt, db, g, sch, cfg, algos, *ranks, *iters)
 		return
 	}
-	fmt.Printf("servers=%d |V|=%d |E|=%d dense-analytics=%v holder-codec=%s\n",
-		*ranks, cfg.NumVertices(), cfg.NumEdges(), *denseAnalytics, codec)
+	fmt.Printf("servers=%d |V|=%d |E|=%d holder-codec=%s\n",
+		*ranks, cfg.NumVertices(), cfg.NumEdges(), codec)
 	fmt.Printf("%-10s %-12s %11s %11s %13s %13s  %s\n",
 		"algo", "time", "put-trains", "get-trains", "bytes-put", "bytes-got", "result")
 
@@ -87,7 +85,7 @@ func main() {
 		var runErr error
 		start := time.Now()
 		rt.Run(db, func(p *gdi.Process) {
-			s, err := runAlgo(p, g, sch, name, *k, *iters, *seed, *denseAnalytics)
+			s, err := runAlgo(p, g, sch, name, *k, *iters, *seed)
 			if p.Rank() == 0 {
 				mu.Lock()
 				summary = s
@@ -118,16 +116,12 @@ func main() {
 }
 
 // runAlgo executes one workload on this rank and returns its summary line.
-func runAlgo(p *gdi.Process, g *analytics.Graph, sch kron.Schema, name string, k, iters int, seed int64, dense bool) (string, error) {
+func runAlgo(p *gdi.Process, g *analytics.Graph, sch kron.Schema, name string, k, iters int, seed int64) (string, error) {
 	switch name {
 	case "bfs":
-		if dense {
-			visited, depth, stats, err := analytics.BFSDense(p, g, 0)
-			return fmt.Sprintf("visited %d vertices, eccentricity %d (%d push / %d pull levels)",
-				visited, depth, stats.PushLevels, stats.PullLevels), err
-		}
-		visited, depth, err := analytics.BFS(p, g, 0)
-		return fmt.Sprintf("visited %d vertices, eccentricity %d", visited, depth), err
+		visited, depth, stats, err := analytics.BFSDense(p, g, 0)
+		return fmt.Sprintf("visited %d vertices, eccentricity %d (%d push / %d pull levels)",
+			visited, depth, stats.PushLevels, stats.PullLevels), err
 	case "khop":
 		n, err := analytics.KHop(p, g, 0, k)
 		return fmt.Sprintf("%d vertices within %d hops", n, k), err

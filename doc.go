@@ -206,24 +206,15 @@
 //
 // # Dense analytics engine
 //
-// The iterative OLAP kernels (BFS, PageRank, CDLP, WCC, LCC) come in two
-// engines, selected by DatabaseParams.DenseAnalytics:
-//
-//   - The map engine (the default and the ablation baseline) snapshots each
-//     rank's shard into map[VertexID][]VertexID adjacency and exchanges
-//     per-edge message structs through the collective layer's channel mail —
-//     simple, but every iteration pays hash lookups and allocations per
-//     edge, and its traffic bypasses the RMA fabric and its latency model.
-//
-//   - The dense CSR engine compacts the shard once per query: a collective
-//     index-exchange pass assigns every local vertex a dense int32 index
-//     (ascending VertexID order) and resolves every neighbor — each distinct
-//     remote neighbor is looked up on its owner exactly once — to a
-//     pre-resolved (rank, remoteIndex) pair. Adjacency then lives in flat
-//     offset+target arrays (the CSR layout of the high-performance graph
-//     literature) and iteration values in dense []float64/[]uint64 arrays,
-//     so the kernels run with zero map lookups and zero per-edge
-//     allocations.
+// The iterative OLAP kernels (BFS, PageRank, CDLP, WCC, LCC) run on one
+// engine, the dense CSR engine. It compacts the shard once per query: a
+// collective index-exchange pass assigns every local vertex a dense int32
+// index (ascending VertexID order) and resolves every neighbor — each
+// distinct remote neighbor is looked up on its owner exactly once — to a
+// pre-resolved (rank, remoteIndex) pair. Adjacency then lives in flat
+// offset+target arrays (the CSR layout of the high-performance graph
+// literature) and iteration values in dense []float64/[]uint64 arrays, so
+// the kernels run with zero map lookups and zero per-edge allocations.
 //
 // Dense-engine iteration traffic moves through a one-sided exchange
 // (alltoallv) built on per-rank RMA inboxes: each rank's inbox segment is
@@ -247,15 +238,18 @@
 // every rank scans its own unvisited vertices for a frontier neighbor.
 // BFSDense reports the push/pull split per traversal.
 //
-// The dense engine emits messages in exactly the map engine's order
-// (ascending dense index, holder record order within a vertex, incoming
-// chunks folded in source-rank order), so PageRank/CDLP/WCC/LCC results are
-// bit-identical across engines — golden equivalence tests enforce this —
-// while dense arrays additionally make dense PageRank run-to-run
-// deterministic (no map-iteration order in the sums). The AnalyticsAblation
-// benchmark gates the engine at ≥2x over the map baseline for
-// convergence-depth PageRank at 8 ranks under 1µs injected remote latency,
-// even though only the dense engine's exchange pays that latency.
+// The engine that preceded it — map[VertexID][]VertexID adjacency and
+// per-edge message structs sent through the collective layer's channel
+// mail — survives only as a test-only reference oracle. The engine emits
+// messages in exactly the oracle's order (ascending dense index, holder
+// record order within a vertex, incoming chunks folded in source-rank
+// order), so a golden equivalence test holds PageRank and LCC bit-identical
+// and CDLP, WCC and BFS equal to it. The dense arrays also make PageRank
+// run-to-run deterministic (no map-iteration order in the sums). The
+// AnalyticsAblation benchmark in internal/analytics gates the engine at ≥2x
+// over the oracle for convergence-depth PageRank at 8 ranks under 1µs
+// injected remote latency, even though only the dense engine's exchange
+// pays that latency.
 //
 // # Live rebalancing
 //

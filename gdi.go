@@ -262,13 +262,10 @@ type DatabaseParams struct {
 	// a moved version aborts the transaction with ErrTransactionCritical
 	// (the optimistic abort of §3.8). Pairs naturally with CacheBlocks.
 	OptimisticReads bool
-	// DenseAnalytics switches the iterative analytics kernels (BFS,
-	// PageRank, CDLP, WCC, LCC) to the dense CSR snapshot engine: flat
-	// offset+target adjacency arrays in a per-rank dense index space, bitmap
-	// frontiers with direction-optimizing (push/pull) BFS, and all iteration
-	// traffic routed through one-sided inbox PUT trains instead of the
-	// collective layer's channel mail. The map-based engine remains the
-	// default and serves as the AnalyticsAblation baseline.
+	// DenseAnalytics is ignored: the iterative analytics kernels always run
+	// on the dense CSR engine.
+	//
+	// Deprecated: the dense CSR engine is the only analytics engine.
 	DenseAnalytics bool
 	// ExchangeBytesPerRank sizes the one-sided exchange inbox per process
 	// (default 2 MiB); larger analytics rounds stream in sub-rounds.
@@ -327,7 +324,6 @@ func (rt *Runtime) CreateDatabase(p DatabaseParams) *Database {
 		CacheBlocks:           p.CacheBlocks,
 		CacheCapacity:         p.CacheCapacity,
 		OptimisticReads:       p.OptimisticReads,
-		DenseAnalytics:        p.DenseAnalytics,
 		ExchangeBytesPerRank:  p.ExchangeBytesPerRank,
 		RebalanceHeatTracking: p.RebalanceHeatTracking,
 		RebalanceTopK:         p.RebalanceTopK,
@@ -451,7 +447,9 @@ func (p *Process) LocalVerticesWithLabel(l LabelID) []VertexID {
 	return p.db.eng.LocalVerticesWithLabel(p.rank, l)
 }
 
-// BulkLoadVertices ingests vertices collectively (BULK workloads).
+// BulkLoadVertices ingests vertices collectively (BULK workloads). When a
+// process runs out of blocks or index entries it returns ErrNoMemory naming
+// the vertex, and every other process returns an error too.
 func (p *Process) BulkLoadVertices(specs []VertexSpec) error {
 	return p.db.eng.BulkLoadVertices(p.rank, specs)
 }

@@ -27,7 +27,7 @@ import (
 //     state (TestHTAPCoherenceStress, run under -race in CI).
 
 // htapGraph loads a deterministic Kronecker graph into a database with the
-// snapshot subsystem (and the dense analytics engine it feeds) enabled.
+// snapshot subsystem enabled.
 func htapGraph(t *testing.T, ranks int, cfg kron.Config, optimistic bool) (*gdi.Runtime, *gdi.Database, *analytics.Graph) {
 	t.Helper()
 	cfg = cfg.WithDefaults()
@@ -35,7 +35,6 @@ func htapGraph(t *testing.T, ranks int, cfg kron.Config, optimistic bool) (*gdi.
 	db := rt.CreateDatabase(gdi.DatabaseParams{
 		BlockSize:       512,
 		BlocksPerRank:   1 << 16,
-		DenseAnalytics:  true,
 		HTAPSnapshots:   true,
 		OptimisticReads: optimistic,
 	})
@@ -179,7 +178,7 @@ func htapWriter(db *gdi.Database, rank gdi.Rank, seed int64, ops int, base uint6
 func TestHTAPOpenRequiresKnob(t *testing.T) {
 	rt := gdi.Init(2)
 	defer rt.Finalize()
-	db := rt.CreateDatabase(gdi.DatabaseParams{BlockSize: 256, BlocksPerRank: 1 << 12, DenseAnalytics: true})
+	db := rt.CreateDatabase(gdi.DatabaseParams{BlockSize: 256, BlocksPerRank: 1 << 12})
 	g := &analytics.Graph{DB: db}
 	rt.Run(db, func(p *gdi.Process) {
 		if _, err := analytics.OpenHTAP(p, g); err == nil {

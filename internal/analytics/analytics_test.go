@@ -13,33 +13,7 @@ import (
 // testGraph loads a deterministic Kronecker LPG into a fresh database.
 func testGraph(t *testing.T, ranks int, cfg kron.Config) (*gdi.Runtime, *Graph) {
 	t.Helper()
-	cfg = cfg.WithDefaults()
-	rt := gdi.Init(ranks)
-	db := rt.CreateDatabase(gdi.DatabaseParams{BlockSize: 512, BlocksPerRank: 1 << 16})
-	sch, err := kron.DefineSchema(db.Engine(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loadErr error
-	var mu sync.Mutex
-	rt.Run(db, func(p *gdi.Process) {
-		n := p.Size()
-		if err := p.BulkLoadVertices(kron.VerticesFor(cfg, sch, int(p.Rank()), n)); err != nil {
-			mu.Lock()
-			loadErr = err
-			mu.Unlock()
-			return
-		}
-		if err := p.BulkLoadEdges(kron.EdgesFor(cfg, sch, int(p.Rank()), n)); err != nil {
-			mu.Lock()
-			loadErr = err
-			mu.Unlock()
-		}
-	})
-	if loadErr != nil {
-		t.Fatal(loadErr)
-	}
-	return rt, &Graph{DB: db, Schema: sch}
+	return testGraphCodec(t, ranks, cfg, gdi.CodecV1)
 }
 
 var smallCfg = kron.Config{Scale: 7, EdgeFactor: 8, Seed: 42, NumLabels: 5, NumProps: 4}
@@ -64,41 +38,6 @@ func TestBFSMatchesGraph500(t *testing.T) {
 		})
 		if int(visited) != wantVisited {
 			t.Fatalf("ranks=%d: GDI BFS visited %d, Graph500 %d", ranks, visited, wantVisited)
-		}
-	}
-}
-
-// TestBFSDirectMatchesGraph500 checks the one-sided traversal (and its
-// scalar ablation baseline) against the Graph500 oracle: every rank
-// traverses independently from its own root and must see exactly the
-// reference reached-vertex count.
-func TestBFSDirectMatchesGraph500(t *testing.T) {
-	for _, ranks := range []int{1, 4} {
-		rt, g := testGraph(t, ranks, smallCfg)
-		csr := kron.BuildCSR(smallCfg.WithDefaults())
-		for name, bfs := range map[string]func(*gdi.Process, *Graph, uint64) (int64, int, error){
-			"batched": BFSDirect, "scalar": BFSDirectScalar,
-		} {
-			var mu sync.Mutex
-			failed := false
-			rt.Run(g.DB, func(p *gdi.Process) {
-				root := uint64(p.Rank())
-				want := int64(graph500.Visited(graph500.BFS(csr, root, 0)))
-				got, _, err := bfs(p, g, root)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got != want {
-					mu.Lock()
-					failed = true
-					mu.Unlock()
-					t.Errorf("%s ranks=%d root=%d: visited %d, want %d", name, ranks, root, got, want)
-				}
-			})
-			if failed {
-				return
-			}
 		}
 	}
 }

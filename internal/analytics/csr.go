@@ -31,7 +31,7 @@ func (t target) packed() uint64 { return uint64(uint32(t.rank))<<32 | uint64(uin
 // "Demystifying Graph Databases" identifies as the canonical
 // high-performance adjacency organization. Edge targets preserve holder
 // record order, so the dense kernels emit messages in exactly the order the
-// map engine does (bit-identical floating-point results).
+// map-based reference oracle does (bit-identical floating-point results).
 type csr struct {
 	me     int32
 	nRanks int

@@ -12,47 +12,12 @@ import (
 	"github.com/gdi-go/gdi/internal/kron"
 )
 
-// testGraphDense loads the same deterministic Kronecker LPG as testGraph,
-// with the dense CSR analytics engine switched on or off.
-func testGraphDense(t *testing.T, ranks int, cfg kron.Config, dense bool) (*gdi.Runtime, *Graph) {
-	t.Helper()
-	cfg = cfg.WithDefaults()
-	rt := gdi.Init(ranks)
-	db := rt.CreateDatabase(gdi.DatabaseParams{
-		BlockSize: 512, BlocksPerRank: 1 << 16, DenseAnalytics: dense,
-	})
-	sch, err := kron.DefineSchema(db.Engine(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var loadErr error
-	var mu sync.Mutex
-	rt.Run(db, func(p *gdi.Process) {
-		n := p.Size()
-		if err := p.BulkLoadVertices(kron.VerticesFor(cfg, sch, int(p.Rank()), n)); err != nil {
-			mu.Lock()
-			loadErr = err
-			mu.Unlock()
-			return
-		}
-		if err := p.BulkLoadEdges(kron.EdgesFor(cfg, sch, int(p.Rank()), n)); err != nil {
-			mu.Lock()
-			loadErr = err
-			mu.Unlock()
-		}
-	})
-	if loadErr != nil {
-		t.Fatal(loadErr)
-	}
-	return rt, &Graph{DB: db, Schema: sch}
-}
-
 // customGraph bulk-loads an explicit edge list (rank 0 contributes all
-// specs) into a database with the dense engine enabled.
+// specs) into a fresh database.
 func customGraph(t *testing.T, ranks int, nVerts uint64, edges []gdi.EdgeSpec) (*gdi.Runtime, *Graph) {
 	t.Helper()
 	rt := gdi.Init(ranks)
-	db := rt.CreateDatabase(gdi.DatabaseParams{BlocksPerRank: 1 << 14, DenseAnalytics: true})
+	db := rt.CreateDatabase(gdi.DatabaseParams{BlocksPerRank: 1 << 14})
 	label, err := db.DefineLabel("L")
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +60,24 @@ func mergeMaps[K comparable, V any](mu *sync.Mutex, dst map[K]V, src map[K]V) {
 	}
 }
 
+// kernels is one implementation of the iterative analytics kernels.
+type kernels struct {
+	pageRank func(*gdi.Process, *Graph, int, float64) (map[uint64]float64, float64, error)
+	cdlp     func(*gdi.Process, *Graph, int) (map[uint64]uint64, error)
+	wcc      func(*gdi.Process, *Graph, int) (map[uint64]uint64, int, error)
+	lcc      func(*gdi.Process, *Graph) (float64, error)
+	bfs      func(*gdi.Process, *Graph, uint64) (int64, int, error)
+}
+
+var (
+	production = kernels{PageRank, CDLP, WCC, LCC, BFS}
+	oracle     = kernels{refPageRank, refCDLP, refWCC, refLCC, refBFS}
+)
+
 // TestDenseGoldenEquivalence holds the dense CSR engine to bit-identical
-// results against the map engine on the same graph: PageRank mass per
-// vertex, CDLP labels, WCC components and iteration count, the LCC average,
-// and BFS visited count and depth.
+// results against the map-based reference oracle on the same graph:
+// PageRank mass per vertex, CDLP labels, WCC components and iteration
+// count, the LCC average, and BFS visited count and depth.
 func TestDenseGoldenEquivalence(t *testing.T) {
 	for _, ranks := range []int{1, 4} {
 		type result struct {
@@ -111,38 +90,36 @@ func TestDenseGoldenEquivalence(t *testing.T) {
 			visited int64
 			depth   int
 		}
-		results := make(map[bool]*result)
-		for _, dense := range []bool{false, true} {
-			rt, g := testGraphDense(t, ranks, smallCfg, dense)
+		rt, g := testGraph(t, ranks, smallCfg)
+		run := func(k kernels) *result {
 			res := &result{
 				pr:   make(map[uint64]float64),
 				cdlp: make(map[uint64]uint64),
 				wcc:  make(map[uint64]uint64),
 			}
-			results[dense] = res
 			var mu sync.Mutex
 			rt.Run(g.DB, func(p *gdi.Process) {
-				pr, norm, err := PageRank(p, g, 5, 0.85)
+				pr, norm, err := k.pageRank(p, g, 5, 0.85)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				cd, err := CDLP(p, g, 5)
+				cd, err := k.cdlp(p, g, 5)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				wc, its, err := WCC(p, g, 1000)
+				wc, its, err := k.wcc(p, g, 1000)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				lcc, err := LCC(p, g)
+				lcc, err := k.lcc(p, g)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				visited, depth, err := BFS(p, g, 0)
+				visited, depth, err := k.bfs(p, g, 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -155,18 +132,25 @@ func TestDenseGoldenEquivalence(t *testing.T) {
 				res.visited, res.depth = visited, depth
 				mu.Unlock()
 			})
+			return res
 		}
-		mapRes, denseRes := results[false], results[true]
+		mapRes, denseRes := run(oracle), run(production)
 		if len(denseRes.pr) != len(mapRes.pr) {
 			t.Fatalf("ranks=%d: PageRank covered %d vs %d vertices", ranks, len(denseRes.pr), len(mapRes.pr))
 		}
 		for app, want := range mapRes.pr {
 			if got := denseRes.pr[app]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("ranks=%d: PageRank[%d] = %v (dense) vs %v (map): not bit-identical", ranks, app, got, want)
+				t.Fatalf("ranks=%d: PageRank[%d] = %v (dense) vs %v (oracle): not bit-identical", ranks, app, got, want)
 			}
 		}
+		// The oracle's final norm fold iterates a Go map, so its summation
+		// order (and last-ulp rounding) varies run to run.
 		if math.Abs(denseRes.prNorm-mapRes.prNorm) > 1e-9 {
 			t.Fatalf("ranks=%d: PageRank norm %v vs %v", ranks, denseRes.prNorm, mapRes.prNorm)
+		}
+		if len(denseRes.cdlp) != len(mapRes.cdlp) || len(denseRes.wcc) != len(mapRes.wcc) {
+			t.Fatalf("ranks=%d: CDLP/WCC covered %d/%d vs %d/%d vertices", ranks,
+				len(denseRes.cdlp), len(denseRes.wcc), len(mapRes.cdlp), len(mapRes.wcc))
 		}
 		for app, want := range mapRes.cdlp {
 			if got := denseRes.cdlp[app]; got != want {
@@ -182,7 +166,7 @@ func TestDenseGoldenEquivalence(t *testing.T) {
 			}
 		}
 		if math.Float64bits(denseRes.lcc) != math.Float64bits(mapRes.lcc) {
-			t.Fatalf("ranks=%d: LCC %v (dense) vs %v (map): not bit-identical", ranks, denseRes.lcc, mapRes.lcc)
+			t.Fatalf("ranks=%d: LCC %v (dense) vs %v (oracle): not bit-identical", ranks, denseRes.lcc, mapRes.lcc)
 		}
 		if denseRes.visited != mapRes.visited || denseRes.depth != mapRes.depth {
 			t.Fatalf("ranks=%d: BFS (%d, %d) vs (%d, %d)", ranks,
@@ -230,7 +214,7 @@ func TestDenseBFSDirectionSwitch(t *testing.T) {
 // whole graph, and undirected edges traversed in both directions.
 func TestDenseBFSEdgeCases(t *testing.T) {
 	t.Run("missing-root", func(t *testing.T) {
-		rt, g := testGraphDense(t, 2, kron.Config{Scale: 4, EdgeFactor: 2, Seed: 1, NumLabels: 2, NumProps: 1}, true)
+		rt, g := testGraph(t, 2, kron.Config{Scale: 4, EdgeFactor: 2, Seed: 1, NumLabels: 2, NumProps: 1})
 		rt.Run(g.DB, func(p *gdi.Process) {
 			visited, depth, _, err := BFSDense(p, g, 1<<40)
 			if visited != 0 || depth != 0 {
@@ -316,11 +300,11 @@ func TestDenseBFSEdgeCases(t *testing.T) {
 }
 
 // TestDensePageRankDeterministic: two independent runs of dense PageRank at
-// the same seed must be diff-clean to the last bit — the dense arrays remove
-// the map-iteration nondeterminism of the old engine.
+// the same seed must be diff-clean to the last bit — the dense arrays leave
+// no map-iteration order in the sums.
 func TestDensePageRankDeterministic(t *testing.T) {
 	dump := func() string {
-		rt, g := testGraphDense(t, 4, smallCfg, true)
+		rt, g := testGraph(t, 4, smallCfg)
 		got := make(map[uint64]float64)
 		var mu sync.Mutex
 		var norm float64

@@ -42,29 +42,40 @@ func (e *Engine) BulkLoadVertices(rank fabric.Rank, specs []VertexSpec) error {
 		out[o] = append(out[o], sp)
 	}
 	in := collective.Alltoall(e.comm, rank, out)
-	bs := e.cfg.BlockSize
 	// The local materialization runs under the HTAP commit gate like any
-	// apply phase; the gate is scoped between the exchange and the barrier
-	// so a holder never waits on another rank.
+	// apply phase; the gate is scoped between the exchange and the closing
+	// collective so a holder never waits on another rank.
 	if e.snap != nil {
 		e.htapGate.RLock()
 	}
+	deltas, err := e.materializeVertices(rank, in)
+	if e.snap != nil {
+		e.snap.AppendDeltas(rank, deltas)
+		e.htapGate.RUnlock()
+	}
+	return e.bulkDone(rank, err)
+}
+
+// materializeVertices writes the specs routed to this rank into its shard
+// and indexes them, stopping at the first vertex the block pool or the
+// index cannot hold. It returns the creation deltas of the vertices it
+// loaded.
+func (e *Engine) materializeVertices(rank fabric.Rank, in [][]VertexSpec) ([]snapshot.Record, error) {
+	bs := e.cfg.BlockSize
 	var deltas []snapshot.Record
 	for _, batch := range in {
 		for _, sp := range batch {
 			v := &holder.Vertex{AppID: sp.AppID, Labels: sp.Labels, Props: sp.Props}
 			stream := holder.EncodeVertexCodec(v, bs, e.cfg.HolderCodec)
 			need := len(stream) / bs
-			blocks := make([]fabric.DPtr, need)
-			for i := range blocks {
+			blocks := make([]fabric.DPtr, 0, need)
+			for len(blocks) < need {
 				dp, err := e.store.AcquireBlock(rank, rank)
 				if err != nil {
-					if e.snap != nil {
-						e.htapGate.RUnlock()
-					}
-					return fmt.Errorf("%w: bulk loading vertex %d", ErrNoMemory, sp.AppID)
+					e.releaseBlocks(rank, blocks)
+					return deltas, fmt.Errorf("%w: bulk loading vertex %d: block pool exhausted", ErrNoMemory, sp.AppID)
 				}
-				blocks[i] = dp
+				blocks = append(blocks, dp)
 			}
 			for i := 1; i < need; i++ {
 				holder.SetTableEntry(stream, i-1, blocks[i])
@@ -72,19 +83,34 @@ func (e *Engine) BulkLoadVertices(rank fabric.Rank, specs []VertexSpec) error {
 			for i, dp := range blocks {
 				e.store.WriteBlock(rank, dp, stream[i*bs:(i+1)*bs])
 			}
-			e.index.Insert(rank, sp.AppID, uint64(blocks[0]))
+			if !e.index.Insert(rank, sp.AppID, uint64(blocks[0])) {
+				e.releaseBlocks(rank, blocks)
+				return deltas, fmt.Errorf("%w: bulk loading vertex %d: index entries exhausted", ErrNoMemory, sp.AppID)
+			}
 			e.local[rank].addVertex(blocks[0], sp.AppID, sp.Labels)
 			if e.snap != nil {
 				deltas = append(deltas, snapshot.Record{Kind: snapshot.KindCreate, DP: blocks[0], App: sp.AppID})
 			}
 		}
 	}
-	if e.snap != nil {
-		e.snap.AppendDeltas(rank, deltas)
-		e.htapGate.RUnlock()
+	return deltas, nil
+}
+
+func (e *Engine) releaseBlocks(rank fabric.Rank, blocks []fabric.DPtr) {
+	for _, dp := range blocks {
+		e.store.ReleaseBlock(rank, dp)
 	}
-	e.comm.Barrier(rank)
-	return nil
+}
+
+// bulkDone is the closing collective of a bulk load. Every rank reaches it,
+// failed or not, so one rank's error never strands the others; a rank whose
+// own part succeeded returns errBulkPeer when any other rank failed. A
+// failed bulk load leaves whatever the ranks loaded before they stopped.
+func (e *Engine) bulkDone(rank fabric.Rank, err error) error {
+	if collective.OrReduce(e.comm, rank, err != nil) && err == nil {
+		return errBulkPeer
+	}
+	return err
 }
 
 // recDelivery routes one edge record to the rank owning its vertex.
@@ -104,14 +130,17 @@ type recDelivery struct {
 func (e *Engine) BulkLoadEdges(rank fabric.Rank, specs []EdgeSpec) error {
 	n := e.fab.Size()
 	out := make([][]recDelivery, n)
+	var err error
 	for _, sp := range specs {
 		oRaw, ok := e.index.Lookup(rank, sp.OriginApp)
 		if !ok {
-			return fmt.Errorf("%w: bulk edge origin %d", ErrNotFound, sp.OriginApp)
+			err = fmt.Errorf("%w: bulk edge origin %d", ErrNotFound, sp.OriginApp)
+			break
 		}
 		tRaw, ok := e.index.Lookup(rank, sp.TargetApp)
 		if !ok {
-			return fmt.Errorf("%w: bulk edge target %d", ErrNotFound, sp.TargetApp)
+			err = fmt.Errorf("%w: bulk edge target %d", ErrNotFound, sp.TargetApp)
+			break
 		}
 		o, t := fabric.DPtr(oRaw), fabric.DPtr(tRaw)
 		back := holder.DirIn
@@ -124,6 +153,8 @@ func (e *Engine) BulkLoadEdges(rank fabric.Rank, specs []EdgeSpec) error {
 		}
 		out[t.Rank()] = append(out[t.Rank()], recDelivery{V: t, Rec: holder.EdgeRec{Neighbor: o, Dir: back, Label: sp.Label}})
 	}
+	// A rank that failed still joins the exchange and the closing
+	// collective, so no other rank waits on it.
 	in := collective.Alltoall(e.comm, rank, out)
 
 	// Group deliveries by vertex so each holder is rewritten once.
@@ -144,18 +175,14 @@ func (e *Engine) BulkLoadEdges(rank fabric.Rank, specs []EdgeSpec) error {
 		e.htapGate.RLock()
 	}
 	for _, dp := range order {
-		if err := e.appendRecords(rank, dp, byVertex[dp], bs); err != nil {
-			if e.snap != nil {
-				e.htapGate.RUnlock()
-			}
-			return err
+		if err == nil {
+			err = e.appendRecords(rank, dp, byVertex[dp], bs)
 		}
 	}
 	if e.snap != nil {
 		e.htapGate.RUnlock()
 	}
-	e.comm.Barrier(rank)
-	return nil
+	return e.bulkDone(rank, err)
 }
 
 // appendRecords merges records into one locally-owned vertex holder.
@@ -187,13 +214,12 @@ func (e *Engine) appendRecords(rank fabric.Rank, primary fabric.DPtr, recs []hol
 	for len(blocks) < need {
 		dp, err := e.store.AcquireBlock(rank, rank)
 		if err != nil {
-			return ErrNoMemory
+			e.releaseBlocks(rank, blocks[nb:])
+			return fmt.Errorf("%w: bulk loading edges of vertex %d: block pool exhausted", ErrNoMemory, v.AppID)
 		}
 		blocks = append(blocks, dp)
 	}
-	for _, dp := range blocks[need:] {
-		e.store.ReleaseBlock(rank, dp)
-	}
+	e.releaseBlocks(rank, blocks[need:])
 	blocks = blocks[:need]
 	for i := 1; i < need; i++ {
 		holder.SetTableEntry(stream, i-1, blocks[i])

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/constraint"
@@ -754,19 +753,30 @@ func TestBulkLoadEdgesBuildsGraph(t *testing.T) {
 	tx.Commit()
 }
 
+// TestBulkLoadEdgeUnknownEndpoint: a rank whose edge specs name a missing
+// vertex fails with ErrNotFound, and the other ranks still return.
 func TestBulkLoadEdgeUnknownEndpoint(t *testing.T) {
-	e := newEngine(t, 1)
-	e.fab.Run(func(r rma.Rank) {
-		if err := e.BulkLoadVertices(r, []VertexSpec{{AppID: 1}}); err != nil {
-			t.Error(err)
+	const ranks = 3
+	e := newEngine(t, ranks)
+	errs := make([]error, ranks)
+	runBulk(t, e, func(r rma.Rank) {
+		if errs[r] = e.BulkLoadVertices(r, []VertexSpec{{AppID: uint64(r)}}); errs[r] != nil {
+			return
 		}
+		var es []EdgeSpec
+		if r == 1 {
+			es = []EdgeSpec{{OriginApp: 1, TargetApp: 999}}
+		}
+		errs[r] = e.BulkLoadEdges(r, es)
 	})
-	err := fmt.Errorf("placeholder")
-	e.fab.Run(func(r rma.Rank) {
-		err = e.BulkLoadEdges(r, []EdgeSpec{{OriginApp: 1, TargetApp: 999}})
-	})
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("bulk edge to missing vertex: %v", err)
+	for r, err := range errs {
+		want := errBulkPeer
+		if r == 1 {
+			want = ErrNotFound
+		}
+		if !errors.Is(err, want) {
+			t.Errorf("rank %d: bulk edge to missing vertex: %v, want %v", r, err, want)
+		}
 	}
 }
 

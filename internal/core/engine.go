@@ -46,8 +46,12 @@ var (
 	ErrTxClosed = errors.New("core: transaction already closed")
 	// ErrReadOnly reports a mutation inside a read-only transaction.
 	ErrReadOnly = errors.New("core: mutation in read-only transaction")
-	// ErrNoMemory reports block-pool exhaustion.
+	// ErrNoMemory reports storage exhaustion: the block pool or the index's
+	// entry pool is full.
 	ErrNoMemory = errors.New("core: out of blocks")
+	// errBulkPeer is what a bulk load returns on a rank whose own part
+	// succeeded when another rank's part failed.
+	errBulkPeer = errors.New("core: bulk load failed on another rank")
 	// ErrBadArgument reports arguments violating the GDI contract.
 	ErrBadArgument = errors.New("core: bad argument")
 )
@@ -86,14 +90,6 @@ type Config struct {
 	// owner rank at commit, aborting with a transaction-critical error when
 	// any version moved (§3.8's optimistic aborts).
 	OptimisticReads bool
-	// DenseAnalytics switches the iterative analytics kernels (BFS, PageRank,
-	// CDLP, WCC, LCC) to the CSR snapshot engine: per-rank index-compacted
-	// adjacency in flat offset+target arrays, bitmap frontiers with
-	// direction-optimizing BFS, and all iteration traffic routed through the
-	// one-sided exchange (per-rank inbox PUT trains) instead of the
-	// collective layer's channel mail. The map-based engine remains the
-	// default and the ablation baseline.
-	DenseAnalytics bool
 	// ExchangeBytesPerRank sizes the one-sided exchange's per-rank inbox
 	// (default 2 MiB); oversized rounds stream in sub-rounds automatically.
 	ExchangeBytesPerRank int
@@ -299,9 +295,6 @@ func (e *Engine) Fabric() fabric.Transport { return e.fab }
 
 // Comm returns the engine's communicator for user-level collectives.
 func (e *Engine) Comm() *collective.Comm { return e.comm }
-
-// DenseAnalytics reports whether the CSR analytics engine is enabled.
-func (e *Engine) DenseAnalytics() bool { return e.cfg.DenseAnalytics }
 
 // Exchange returns the engine's one-sided alltoallv context, allocating its
 // inbox windows on first use (so OLTP-only databases never pay for them).
