@@ -135,6 +135,7 @@ var gates = map[string]func(*report) (string, float64){
 	"CodecAblation":             minGate(nsRatio("v1", "v2"), trafficRatio("v1", "v2", "bytes/op")),
 	"QueryAblation":             minGate(nsRatio("naive", "compiled"), trafficRatio("naive", "compiled", "bytes/op")),
 	"AnalyticsAblation":         nsRatio("map-engine", "dense-csr"),
+	"LookupAblation":            nsRatio("scalar", "batched"),
 	"RebalanceAblation":         metricRatio("rebalanced", "static", "queries/s"),
 	"ReplicationAblation":       metricRatio("replicated-k3", "unreplicated", "queries/s"),
 	"HTAPAblation": func(r *report) (string, float64) {

@@ -16,6 +16,8 @@ BenchmarkCodecAblation/v2-8                 	      10	3000000 ns/op	       400.0
 BenchmarkHTAPAblation-8                     	       1	9000000 ns/op
 BenchmarkQueryAblation/naive-8              	       1	8000000 ns/op	        50 queries/s	        90.0 trains/op
 BenchmarkQueryAblation/compiled-8           	       1	2000000 ns/op	       200 queries/s	        12.0 trains/op
+BenchmarkLookupAblation/scalar-8           	       1	9000000 ns/op	      5361 trains/op
+BenchmarkLookupAblation/batched-8          	       1	1500000 ns/op	        45.00 trains/op
 BenchmarkUngated/only-8                     	    1000	   1000 ns/op
 `
 
@@ -25,8 +27,8 @@ func parseSample(t *testing.T) map[string]*report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 7 {
-		t.Fatalf("parsed %d benchmarks (%v), want 7", len(order), order)
+	if len(order) != 8 {
+		t.Fatalf("parsed %d benchmarks (%v), want 8", len(order), order)
 	}
 	return reports
 }
@@ -93,6 +95,15 @@ func TestApplyGateRatios(t *testing.T) {
 	}
 	if r.GateRatio != 4.0 {
 		t.Errorf("QueryAblation ratio = %v, want 4.0", r.GateRatio)
+	}
+
+	r = reports["LookupAblation"]
+	applyGate(r)
+	if r.Gate != "ns/op scalar / batched" || r.GateRatio != 6.0 {
+		t.Errorf("LookupAblation gate = %q ratio %v, want ns/op scalar / batched 6.0", r.Gate, r.GateRatio)
+	}
+	if got := r.Metrics["batched"]["trains/op"]; got != 45 {
+		t.Errorf("LookupAblation batched trains/op = %v, want 45", got)
 	}
 
 	r = reports["Ungated"]

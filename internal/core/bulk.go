@@ -121,28 +121,32 @@ type recDelivery struct {
 
 // BulkLoadEdges is the collective edge-ingestion path (GDI_BulkLoadEdges).
 // Records for both endpoints are built in appID space, resolved through the
-// internal index, routed to the owning ranks with one all-to-all, and then
-// merged: each rank rewrites each of its touched vertices exactly once no
-// matter how many edges landed on it.
+// internal index with one batched lookup of all endpoints, routed to the
+// owning ranks with one all-to-all, and then merged: each rank rewrites each
+// of its touched vertices exactly once no matter how many edges landed on it.
 //
-// Work: O(|specs|) DHT lookups + O(Σ touched holder blocks); depth:
+// Work: O(distinct endpoints) DHT lookups + O(Σ touched holder blocks);
+// depth: O(chain length) lookup rounds of one train per rank each, then
 // O(log P) exchange + local merge.
 func (e *Engine) BulkLoadEdges(rank fabric.Rank, specs []EdgeSpec) error {
 	n := e.fab.Size()
 	out := make([][]recDelivery, n)
-	var err error
+	keys := make([]uint64, 0, 2*len(specs))
 	for _, sp := range specs {
-		oRaw, ok := e.index.Lookup(rank, sp.OriginApp)
-		if !ok {
+		keys = append(keys, sp.OriginApp, sp.TargetApp)
+	}
+	dps, found := e.index.LookupBatch(rank, keys)
+	var err error
+	for i, sp := range specs {
+		if !found[2*i] {
 			err = fmt.Errorf("%w: bulk edge origin %d", ErrNotFound, sp.OriginApp)
 			break
 		}
-		tRaw, ok := e.index.Lookup(rank, sp.TargetApp)
-		if !ok {
+		if !found[2*i+1] {
 			err = fmt.Errorf("%w: bulk edge target %d", ErrNotFound, sp.TargetApp)
 			break
 		}
-		o, t := fabric.DPtr(oRaw), fabric.DPtr(tRaw)
+		o, t := fabric.DPtr(dps[2*i]), fabric.DPtr(dps[2*i+1])
 		back := holder.DirIn
 		if sp.Dir == holder.DirUndirected {
 			back = holder.DirUndirected

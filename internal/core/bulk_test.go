@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -93,5 +94,79 @@ func runBulk(t *testing.T, e *Engine, fn func(r rma.Rank)) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("bulk load hung")
+	}
+}
+
+// TestBulkLoadEdgeErrorOrder: with several unknown endpoints, the error
+// names the first spec in order that has one, its origin before its target.
+func TestBulkLoadEdgeErrorOrder(t *testing.T) {
+	for _, tc := range []struct {
+		specs []EdgeSpec
+		want  string
+	}{
+		{[]EdgeSpec{{OriginApp: 0, TargetApp: 1}, {OriginApp: 1, TargetApp: 998}, {OriginApp: 997, TargetApp: 0}}, "bulk edge target 998"},
+		{[]EdgeSpec{{OriginApp: 996, TargetApp: 995}, {OriginApp: 0, TargetApp: 994}}, "bulk edge origin 996"},
+	} {
+		e := newEngine(t, 2)
+		errs := make([]error, 2)
+		runBulk(t, e, func(r rma.Rank) {
+			if errs[r] = e.BulkLoadVertices(r, []VertexSpec{{AppID: uint64(r)}}); errs[r] != nil {
+				return
+			}
+			var es []EdgeSpec
+			if r == 0 {
+				es = tc.specs
+			}
+			errs[r] = e.BulkLoadEdges(r, es)
+		})
+		if !errors.Is(errs[0], ErrNotFound) || !strings.HasSuffix(errs[0].Error(), tc.want) {
+			t.Errorf("specs %v: %v, want ErrNotFound naming %q", tc.specs, errs[0], tc.want)
+		}
+	}
+}
+
+// TestBulkLoadEdgesBatchesLookups: bulk edge loading resolves its distinct
+// endpoints in one batched lookup, so doubling the edges over a fixed vertex
+// set does not double the index traffic, neither in remote atomic trains
+// nor in remote atomics.
+func TestBulkLoadEdgesBatchesLookups(t *testing.T) {
+	const ranks, n = 4, 128
+	traffic := func(edges int) (trains, atoms int64) {
+		f := rma.New(ranks)
+		e := NewEngine(f, Config{BlockSize: 256, BlocksPerRank: 4096})
+		rng := rand.New(rand.NewSource(1))
+		specs := make([]EdgeSpec, edges)
+		for i := range specs {
+			specs[i] = EdgeSpec{OriginApp: uint64(rng.Intn(n)), TargetApp: uint64(rng.Intn(n)), Dir: holder.DirOut}
+		}
+		runBulk(t, e, func(r rma.Rank) {
+			var vs []VertexSpec
+			for i := uint64(r); i < n; i += ranks {
+				vs = append(vs, VertexSpec{AppID: i})
+			}
+			if err := e.BulkLoadVertices(r, vs); err != nil {
+				t.Error(err)
+			}
+		})
+		before := f.TotalSnapshot()
+		runBulk(t, e, func(r rma.Rank) {
+			var es []EdgeSpec
+			for i := int(r); i < edges; i += ranks {
+				es = append(es, specs[i])
+			}
+			if err := e.BulkLoadEdges(r, es); err != nil {
+				t.Error(err)
+			}
+		})
+		after := f.TotalSnapshot()
+		return after.AtomicBatches - before.AtomicBatches, after.RemoteAtoms - before.RemoteAtoms
+	}
+	trains1, atoms1 := traffic(1024)
+	trains2, atoms2 := traffic(2048)
+	if trains1 == 0 || trains2 >= 2*trains1 {
+		t.Errorf("remote atomic trains: %d for 1024 edges, %d for 2048", trains1, trains2)
+	}
+	if atoms2 >= 2*atoms1 {
+		t.Errorf("remote atomics: %d for 1024 edges, %d for 2048", atoms1, atoms2)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/gdi-go/gdi/internal/dht"
 	"github.com/gdi-go/gdi/internal/fabric"
 	"github.com/gdi-go/gdi/internal/holder"
 	"github.com/gdi-go/gdi/internal/locks"
@@ -13,9 +14,9 @@ import (
 // Commit makes the transaction's changes durable and visible
 // (GDI_CloseTransaction with commit semantics). The protocol preserves
 // atomicity by splitting into a prepare phase that can fail (taking the
-// exclusive locks and acquiring every block the write-back needs) and an
-// apply phase that cannot: either all dirty holders are written back or
-// none (§5.6).
+// exclusive locks, acquiring every block the write-back needs and reserving
+// the index entry of every new vertex) and an apply phase that cannot:
+// either all dirty holders are written back or none (§5.6).
 //
 // On the batched write path (the default) the remote traffic of a commit is
 // organized into per-owner-rank trains instead of per-word and per-block
@@ -152,9 +153,11 @@ func (tx *Tx) Commit() error {
 		release []fabric.DPtr   // excess blocks to free after apply
 		fan     [][]fabric.DPtr // follower groups to rewrite in lockstep
 		drop    [][]fabric.DPtr // follower groups this commit retires
+		slot    dht.Slot        // index entry reserved for a new vertex
 	}
 	var plans []plan
 	var acquired []fabric.DPtr // for rollback of a failed prepare
+	var reserved []dht.Slot
 	bs := tx.eng.cfg.BlockSize
 
 	prepare := func(primary fabric.DPtr, stream []byte, old []fabric.DPtr) (pl plan, err error) {
@@ -184,6 +187,9 @@ func (tx *Tx) Commit() error {
 		for _, dp := range acquired {
 			tx.eng.store.ReleaseBlock(tx.rank, dp)
 		}
+		for _, s := range reserved {
+			tx.eng.index.Release(tx.rank, s)
+		}
 		locks.ReleaseWriteTrain(tx.rank, stubWords, stubVers)
 		tx.fail(err)
 		tx.abortLocked()
@@ -199,6 +205,14 @@ func (tx *Tx) Commit() error {
 		pl, err := prepare(primary, stream, st.blocks)
 		if err != nil {
 			return fail(err)
+		}
+		if st.isNew {
+			slot, ok := tx.eng.index.Reserve(tx.rank, st.v.AppID)
+			if !ok {
+				return fail(fmt.Errorf("%w: index entries exhausted for vertex %d", ErrNoMemory, st.v.AppID))
+			}
+			reserved = append(reserved, slot)
+			pl.slot = slot
 		}
 		pl.vs = st
 		pl.fan = fan
@@ -420,7 +434,7 @@ func (tx *Tx) Commit() error {
 		if pl.vs != nil {
 			st := pl.vs
 			if st.isNew {
-				tx.eng.index.Insert(tx.rank, st.v.AppID, uint64(st.primary))
+				tx.eng.index.Link(tx.rank, pl.slot, uint64(st.primary))
 				tx.eng.idxAddVertex(tx.rank, st.primary, st.v.AppID, st.v.Labels)
 			} else if !labelSetsEqual(st.origLabel, st.v.Labels) {
 				tx.eng.idxUpdateLabels(tx.rank, st.primary, st.origLabel, st.v.Labels)

@@ -103,6 +103,65 @@ func TestPrepareFailureReleasesAcquiredBlocks(t *testing.T) {
 	}
 }
 
+// TestCommitIndexExhaustionFailsCleanly: a commit whose new vertices cannot
+// all get an index entry must fail in prepare with ErrNoMemory — never
+// commit a vertex that no lookup finds — and must return every entry slot
+// and block it took, so a later commit can use them.
+func TestCommitIndexExhaustionFailsCleanly(t *testing.T) {
+	const ranks = 2
+	// Two index entries per rank: four in the whole map.
+	for name, e := range commitEngines(t, ranks, Config{BlockSize: 64, BlocksPerRank: 64, DHTEntriesPerRank: 2}) {
+		t.Run(name, func(t *testing.T) {
+			create := func(apps ...uint64) error {
+				tx := e.StartLocal(0, ReadWrite)
+				for _, app := range apps {
+					if _, err := tx.CreateVertex(app); err != nil {
+						return err
+					}
+				}
+				return tx.Commit()
+			}
+			freeBlocks := func() (n int) {
+				for r := 0; r < ranks; r++ {
+					n += e.FreeBlocks(rma.Rank(r))
+				}
+				return n
+			}
+			if err := create(1, 2); err != nil {
+				t.Fatal(err)
+			}
+			free := freeBlocks()
+			// Two entries are left and the commit needs three: prepare
+			// reserves some, then runs out.
+			err := create(3, 4, 5)
+			if !errors.Is(err, ErrTxCritical) || !errors.Is(err, ErrNoMemory) {
+				t.Fatalf("commit past the index capacity: %v, want transaction-critical ErrNoMemory", err)
+			}
+			if got := freeBlocks(); got != free {
+				t.Fatalf("failed commit leaked blocks: free %d -> %d", free, got)
+			}
+			// Both remaining entries must be free again.
+			if err := create(6, 7); err != nil {
+				t.Fatalf("commit into the released entries: %v", err)
+			}
+			check := e.StartLocal(1, ReadOnly)
+			for _, app := range []uint64{1, 2, 6, 7} {
+				if _, err := check.TranslateVertexID(app); err != nil {
+					t.Errorf("committed vertex %d does not translate: %v", app, err)
+				}
+			}
+			for _, app := range []uint64{3, 4, 5} {
+				if _, err := check.TranslateVertexID(app); !errors.Is(err, ErrNotFound) {
+					t.Errorf("vertex %d of the failed commit: %v, want ErrNotFound", app, err)
+				}
+			}
+			if err := check.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestMetadataStaleAbortsWithoutPartialWriteBack covers the §3.8 abort: a
 // write transaction racing a metadata change must abort at commit with no
 // write-back at all — stored holders keep their old state, new vertices

@@ -18,6 +18,14 @@
 //     concurrent readers detect and restart on), the second CAS unlinks it
 //     from its predecessor.
 //
+// Following the paper's rule of posting many one-sided accesses and paying
+// one synchronization (§5.6), a chain hop costs one round trip: an entry's
+// four contiguous words (key, value, next, tag) are read as one atomic-load
+// train, each word still loaded atomically and in that order. LookupBatch
+// resolves many keys together in rounds; each round issues at most one
+// bucket-head train and one entry train per target rank, so a batch costs
+// O(chain length) rounds however many keys it carries.
+//
 // One hardening beyond the paper's pseudocode: pointers carry a 15-bit
 // reuse tag that is bumped when a heap slot is recycled, and every entry
 // stores its current tag. A reader that follows a stale pointer into a
@@ -60,6 +68,10 @@ func (p ref) isHeap() bool      { return uint64(p)&heapFlag != 0 }
 func (p ref) rank() fabric.Rank { return fabric.Rank(uint64(p) & rankMask >> rankShift) }
 func (p ref) idx() uint32       { return uint32(uint64(p) & idxMask) }
 func (p ref) tag() uint16       { return uint16(uint64(p) & tagMask >> tagShift) }
+
+// tagged reports whether an entry's tag word still carries p's reuse tag.
+// The word counts every recycle; the ref keeps its low 15 bits.
+func (p ref) tagged(word uint64) bool { return word&(tagMask>>tagShift) == uint64(p.tag()) }
 
 // Heap entry layout, in words.
 const (
@@ -131,6 +143,12 @@ func (m *Map) bucketOf(key uint64) (fabric.Rank, int) {
 	return fabric.Rank(b / uint64(m.bucketsPer)), int(b % uint64(m.bucketsPer))
 }
 
+// bucket returns the ref of key's bucket word.
+func (m *Map) bucket(key uint64) ref {
+	r, i := m.bucketOf(key)
+	return ref(uint64(r)<<rankShift | uint64(i))
+}
+
 // alloc grabs a heap slot on the preferred rank and bumps its reuse tag,
 // stealing from successive ranks if that heap is exhausted. Insert prefers
 // the key's bucket rank, so an entry fate-shares with the bucket that chains
@@ -198,38 +216,92 @@ func (m *Map) casNext(origin fabric.Rank, p ref, old, new ref) bool {
 	return ok
 }
 
-// loadEntry AGETs an entry's fields and verifies the reuse tag. ok is false
-// when the slot was recycled under the reader, who must restart.
-func (m *Map) loadEntry(origin fabric.Rank, p ref) (key, val uint64, next ref, ok bool) {
-	r, base := p.rank(), int(p.idx())*eWords
-	key = m.heap.Load(origin, r, base+eKey)
-	val = m.heap.Load(origin, r, base+eVal)
-	next = ref(m.heap.Load(origin, r, base+eNext))
-	tag := uint16(m.heap.Load(origin, r, base+eTag))
-	ok = tag == p.tag()
-	return
+// entryIdxs returns the heap word indices of p's entry in layout order.
+func entryIdxs(p ref) []int {
+	base := int(p.idx()) * eWords
+	return []int{base + eKey, base + eVal, base + eNext, base + eTag}
 }
 
-// Insert adds key → val. Duplicate keys may coexist (the paper's DHT is a
-// multimap at the protocol level); GDA's users ensure key uniqueness.
-// Returns false when the heap is exhausted.
-func (m *Map) Insert(origin fabric.Rank, key, val uint64) bool {
-	bRank, bIdx := m.bucketOf(key)
-	bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
-	p, ok := m.alloc(origin, bRank)
-	if !ok {
-		return false
+// loadEntry AGETs an entry's fields as one atomic-load train and verifies
+// the reuse tag. ok is false when the slot was recycled under the reader,
+// who must restart.
+func (m *Map) loadEntry(origin fabric.Rank, p ref) (key, val uint64, next ref, ok bool) {
+	return entryFields(p, m.heap.LoadBatch(origin, p.rank(), entryIdxs(p)))
+}
+
+// entryFields decodes the entry words w read at p (layout order).
+func entryFields(p ref, w []uint64) (key, val uint64, next ref, ok bool) {
+	return w[eKey], w[eVal], ref(w[eNext]), p.tagged(w[eTag])
+}
+
+// walk is the outcome of one lookup hop.
+type walk uint8
+
+const (
+	walkAdvance walk = iota // follow next
+	walkHit                 // the entry holds the key
+	walkMiss                // end of chain: the key is absent
+	walkRestart             // recycled slot or self-pointer tombstone
+)
+
+// lookupStep is the per-hop decision of a lookup walk, shared by Lookup and
+// LookupBatch: given the entry words w read at p, the walk restarts from the
+// bucket, hits (returning the value), misses, or advances to next.
+func lookupStep(p ref, w []uint64, key uint64) (s walk, val uint64, next ref) {
+	k, v, next, ok := entryFields(p, w)
+	switch {
+	case !ok || next == p:
+		return walkRestart, 0, 0
+	case k == key:
+		return walkHit, v, 0
+	case next.isNull():
+		return walkMiss, 0, 0
 	}
+	return walkAdvance, 0, next
+}
+
+// Slot is an index entry reserved for a key but not yet linked into its
+// chain: the failure-free half of an Insert split off so a caller can
+// reserve while it may still abort and link once it cannot.
+type Slot struct {
+	p   ref
+	key uint64
+}
+
+// Reserve allocates an entry slot for key, preferring the key's bucket rank.
+// It returns false when every rank's heap is exhausted.
+func (m *Map) Reserve(origin fabric.Rank, key uint64) (Slot, bool) {
+	p, ok := m.alloc(origin, m.bucket(key).rank())
+	return Slot{p: p, key: key}, ok
+}
+
+// Link publishes key → val in a slot from Reserve. It cannot fail.
+func (m *Map) Link(origin fabric.Rank, s Slot, val uint64) {
+	p, bucket := s.p, m.bucket(s.key)
 	base := int(p.idx()) * eWords
-	m.heap.Store(origin, p.rank(), base+eKey, key)
+	m.heap.Store(origin, p.rank(), base+eKey, s.key)
 	m.heap.Store(origin, p.rank(), base+eVal, val)
 	for {
 		head := m.loadNext(origin, bucket)
 		m.heap.Store(origin, p.rank(), base+eNext, uint64(head))
 		if m.casNext(origin, bucket, head, p) {
-			return true
+			return
 		}
 	}
+}
+
+// Release returns a reserved slot that was never linked.
+func (m *Map) Release(origin fabric.Rank, s Slot) { m.dealloc(origin, s.p) }
+
+// Insert adds key → val (Reserve then Link). Duplicate keys may coexist
+// (the paper's DHT is a multimap at the protocol level); GDA's users ensure
+// key uniqueness. Returns false when the heap is exhausted.
+func (m *Map) Insert(origin fabric.Rank, key, val uint64) bool {
+	s, ok := m.Reserve(origin, key)
+	if ok {
+		m.Link(origin, s, val)
+	}
+	return ok
 }
 
 // Lookup finds key and returns its value.
@@ -243,21 +315,108 @@ func (m *Map) Lookup(origin fabric.Rank, key uint64) (val uint64, found bool) {
 }
 
 func (m *Map) lookupOnce(origin fabric.Rank, key uint64) (val uint64, found, restart bool) {
-	bRank, bIdx := m.bucketOf(key)
-	bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
-	p := m.loadNext(origin, bucket)
-	for !p.isNull() {
-		k, v, next, ok := m.loadEntry(origin, p)
-		if !ok || next == p {
-			// Recycled under us, or a self-pointer tombstone: restart.
+	for p := m.loadNext(origin, m.bucket(key)); !p.isNull(); {
+		s, v, next := lookupStep(p, m.heap.LoadBatch(origin, p.rank(), entryIdxs(p)), key)
+		switch s {
+		case walkRestart:
 			return 0, false, true
-		}
-		if k == key {
+		case walkHit:
 			return v, true, false
+		case walkMiss:
+			return 0, false, false
 		}
 		p = next
 	}
 	return 0, false, false
+}
+
+// LookupBatch resolves every key of keys and returns the values and found
+// flags indexed by input position. Duplicate keys are resolved once. All
+// chains are walked together in rounds: each round reads the bucket heads
+// of the keys still at their bucket as one table train per target rank and
+// the entries the remaining keys stand on as one heap train per target
+// rank, then takes lookupStep's decision for every key. A key that meets a
+// recycled slot or a tombstone restarts from its bucket in the next round,
+// exactly as Lookup does.
+//
+// Work: O(distinct keys · chain length) word loads; depth: O(chain length)
+// rounds of at most two trains per rank.
+func (m *Map) LookupBatch(origin fabric.Rank, keys []uint64) (vals []uint64, found []bool) {
+	type probe struct {
+		key uint64
+		at  ref // bucket or entry the next round reads
+		val uint64
+		ok  bool
+	}
+	var probes []probe
+	pos := make([]int, len(keys)) // input position → probe
+	first := make(map[uint64]int, len(keys))
+	for i, k := range keys {
+		j, seen := first[k]
+		if !seen {
+			j = len(probes)
+			first[k] = j
+			probes = append(probes, probe{key: k, at: m.bucket(k)})
+		}
+		pos[i] = j
+	}
+
+	n := m.f.Size()
+	tIdx, tWho := make([][]int, n), make([][]int, n) // bucket-head reads
+	hIdx, hWho := make([][]int, n), make([][]int, n) // entry reads
+	live := make([]int, len(probes))
+	for j := range live {
+		live[j] = j
+	}
+	for len(live) > 0 {
+		for r := 0; r < n; r++ {
+			tIdx[r], tWho[r], hIdx[r], hWho[r] = tIdx[r][:0], tWho[r][:0], hIdx[r][:0], hWho[r][:0]
+		}
+		for _, j := range live {
+			p := probes[j].at
+			if r := p.rank(); p.isHeap() {
+				hIdx[r] = append(hIdx[r], entryIdxs(p)...)
+				hWho[r] = append(hWho[r], j)
+			} else {
+				tIdx[r] = append(tIdx[r], int(p.idx()))
+				tWho[r] = append(tWho[r], j)
+			}
+		}
+		live = live[:0]
+		for r := 0; r < n; r++ {
+			rank := fabric.Rank(r)
+			if len(tWho[r]) > 0 {
+				for i, head := range m.table.LoadBatch(origin, rank, tIdx[r]) {
+					if j := tWho[r][i]; head != 0 {
+						probes[j].at = ref(head)
+						live = append(live, j)
+					}
+				}
+			}
+			if len(hWho[r]) > 0 {
+				w := m.heap.LoadBatch(origin, rank, hIdx[r])
+				for i, j := range hWho[r] {
+					pr := &probes[j]
+					switch s, v, next := lookupStep(pr.at, w[i*eWords:(i+1)*eWords], pr.key); s {
+					case walkRestart:
+						pr.at = m.bucket(pr.key)
+						live = append(live, j)
+					case walkHit:
+						pr.val, pr.ok = v, true
+					case walkAdvance:
+						pr.at = next
+						live = append(live, j)
+					}
+				}
+			}
+		}
+	}
+
+	vals, found = make([]uint64, len(keys)), make([]bool, len(keys))
+	for i, j := range pos {
+		vals[i], found[i] = probes[j].val, probes[j].ok
+	}
+	return vals, found
 }
 
 // Replace CAS-swings the value of an existing key from old to new — the
@@ -288,9 +447,7 @@ func (m *Map) ReplaceFetch(origin fabric.Rank, key, old, new uint64) (cur uint64
 }
 
 func (m *Map) replaceOnce(origin fabric.Rank, key, old, new uint64) (done, swapped bool, cur uint64, found bool) {
-	bRank, bIdx := m.bucketOf(key)
-	bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
-	p := m.loadNext(origin, bucket)
+	p := m.loadNext(origin, m.bucket(key))
 	for !p.isNull() {
 		k, v, next, ok := m.loadEntry(origin, p)
 		if !ok || next == p {
@@ -307,7 +464,7 @@ func (m *Map) replaceOnce(origin fabric.Rank, key, old, new uint64) (done, swapp
 				// mismatch the swap landed in a recycled slot; undo it
 				// (best-effort — a loss means the new owner overwrote it,
 				// so their value stands) and restart the walk.
-				if tag := uint16(m.heap.Load(origin, p.rank(), base+eTag)); tag == p.tag() {
+				if p.tagged(m.heap.Load(origin, p.rank(), base+eTag)) {
 					return true, true, new, true
 				}
 				m.heap.CAS(origin, p.rank(), base+eVal, new, old)
@@ -334,8 +491,7 @@ func (m *Map) Delete(origin fabric.Rank, key uint64) bool {
 
 // deleteOnce walks the chain once; done=false requests a restart.
 func (m *Map) deleteOnce(origin fabric.Rank, key uint64) (done, removed bool) {
-	bRank, bIdx := m.bucketOf(key)
-	bucket := ref(uint64(bRank)<<rankShift | uint64(bIdx))
+	bucket := m.bucket(key)
 	prev := bucket
 	p := m.loadNext(origin, bucket)
 	for !p.isNull() {
