@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -30,7 +31,13 @@ type report struct {
 	Metrics   map[string]map[string]float64 `json:"metrics,omitempty"`
 	Gate      string                        `json:"gate,omitempty"`
 	GateRatio float64                       `json:"gate_ratio,omitempty"`
+
+	// samples collects every run of a variant's ns/op (metric "") and custom
+	// metrics under -count=N; parse reports their medians.
+	samples map[sample][]float64
 }
+
+type sample struct{ variant, metric string }
 
 // A gate part returns one (label, ratio) axis. Two failure shapes are kept
 // distinct: an *absent* part (label "") means the run never reported that
@@ -175,7 +182,8 @@ var benchLine = regexp.MustCompile(`^Benchmark([\w-]+)((?:/[^ \t]+)?)\s+\d+\s+([
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
 // parse folds `go test -bench` output into one report per top-level
-// benchmark, returned in first-seen order.
+// benchmark, returned in first-seen order. A variant that ran several times
+// (-count=N) reports the median of each value.
 func parse(in io.Reader, commit string) (map[string]*report, []string, error) {
 	reports := map[string]*report{}
 	var order []string
@@ -194,11 +202,12 @@ func parse(in io.Reader, commit string) (map[string]*report, []string, error) {
 		}
 		r := reports[name]
 		if r == nil {
-			r = &report{Name: name, Commit: commit, NsPerOp: map[string]float64{}}
+			r = &report{Name: name, Commit: commit, NsPerOp: map[string]float64{}, samples: map[sample][]float64{}}
 			reports[name] = r
 			order = append(order, name)
 		}
-		r.NsPerOp[sub], _ = strconv.ParseFloat(m[3], 64)
+		ns, _ := strconv.ParseFloat(m[3], 64)
+		r.samples[sample{sub, ""}] = append(r.samples[sample{sub, ""}], ns)
 		for _, field := range strings.Split(m[4], "\t") {
 			parts := strings.SplitN(strings.TrimSpace(field), " ", 2)
 			if len(parts) != 2 {
@@ -208,19 +217,41 @@ func parse(in io.Reader, commit string) (map[string]*report, []string, error) {
 			if err != nil {
 				continue
 			}
-			if r.Metrics == nil {
-				r.Metrics = map[string]map[string]float64{}
-			}
-			if r.Metrics[sub] == nil {
-				r.Metrics[sub] = map[string]float64{}
-			}
-			r.Metrics[sub][parts[1]] = v
+			k := sample{sub, parts[1]}
+			r.samples[k] = append(r.samples[k], v)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
+	for _, r := range reports {
+		for k, xs := range r.samples {
+			if k.metric == "" {
+				r.NsPerOp[k.variant] = median(xs)
+				continue
+			}
+			if r.Metrics == nil {
+				r.Metrics = map[string]map[string]float64{}
+			}
+			if r.Metrics[k.variant] == nil {
+				r.Metrics[k.variant] = map[string]float64{}
+			}
+			r.Metrics[k.variant][k.metric] = median(xs)
+		}
+	}
 	return reports, order, nil
+}
+
+// median folds the runs of one value under -count=N (the middle run, or the
+// mean of the middle two).
+func median(xs []float64) float64 {
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 func main() {

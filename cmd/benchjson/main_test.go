@@ -177,3 +177,32 @@ func TestApplyGateSkipsDegenerateBaselines(t *testing.T) {
 		t.Errorf("zero baseline: gate = %q ratio %v, want skipped/0", r.Gate, r.GateRatio)
 	}
 }
+
+// TestParseFoldsRepeatedRunsToMedians: under -count=N every variant prints N
+// lines; each value reported is the median of its runs.
+func TestParseFoldsRepeatedRunsToMedians(t *testing.T) {
+	in := `BenchmarkQueryAblation/naive-8    	1	9000000 ns/op	40 queries/s
+BenchmarkQueryAblation/naive-8    	1	7000000 ns/op	60 queries/s
+BenchmarkQueryAblation/naive-8    	1	8000000 ns/op	50 queries/s
+BenchmarkQueryAblation/compiled-8 	1	2000000 ns/op	200 queries/s
+BenchmarkQueryAblation/compiled-8 	1	3000000 ns/op	100 queries/s
+`
+	reports, _, err := parse(strings.NewReader(in), "abc123")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reports["QueryAblation"]
+	if got := r.NsPerOp["naive"]; got != 8000000 {
+		t.Errorf("naive ns/op = %v, want the median 8000000", got)
+	}
+	if got := r.Metrics["naive"]["queries/s"]; got != 50 {
+		t.Errorf("naive queries/s = %v, want the median 50", got)
+	}
+	if got := r.NsPerOp["compiled"]; got != 2500000 {
+		t.Errorf("compiled ns/op = %v, want the mean of the middle two 2500000", got)
+	}
+	applyGate(r)
+	if r.GateRatio != 3.2 {
+		t.Errorf("gate ratio = %v, want 3.2 from the medians", r.GateRatio)
+	}
+}

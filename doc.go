@@ -193,7 +193,19 @@
 // two are golden-tested equivalent across both holder codecs and replicated
 // engines, and the QueryAblation benchmark gates compiled ≥2x over naive at
 // 8 ranks under 1µs injected latency, with counter assertions pinning the
-// one-train-per-owner-rank-per-hop contract. Patterns also carry a
+// one-train-per-owner-rank-per-hop contract.
+//
+// query.Run pushes a k-hop pattern's LIMIT into the final hop. Rows are
+// ordered by VertexID, so the final frontier is associated in ascending
+// VertexID order, in chunks of 2×LIMIT that double each round, until LIMIT
+// candidates match the hop's constraint. Skipped candidates are never read,
+// so they can neither fail nor abort the query. The early stop is exact
+// only while no candidate is a live-migration forwarding stub, which
+// Transaction.NoMigrationStubs proves from one stub epoch word per rank and
+// keeps true until the transaction commits: an optimistic transaction
+// revalidates the words at commit, and a locking one read-locks them. When
+// a migration has published a stub, the whole final frontier is read in one
+// round. query.RunNaive never pushes down. Patterns also carry a
 // versioned wire codec (Encode/Decode, fuzzed in CI) so a driver can ship a
 // plan to a server rank as bytes. Results are canonically ordered, so runs
 // are reproducible under any association interleaving.
@@ -294,7 +306,11 @@
 // its stubs under their locks along with the holder. Edge records written
 // before a move keep their old endpoint DPtrs; sibling matching accepts
 // every identity a vertex has had, so deletions and traversals stay
-// correct.
+// correct. The same lock train also write-locks the stub epoch word of
+// every rank that receives its first stub (the lock word of the
+// never-allocated block 0); the release bumps it for good, which is how the
+// query layer's LIMIT pushdown learns that DPtr order no longer equals
+// current-primary order.
 //
 // The migration stress tier (TestMigrationCoherenceStress, in the -race CI
 // job) runs writers, optimistic readers, and a live migrator on one vertex

@@ -10,7 +10,9 @@
 //     block following block i;
 //   - the system window holds, per rank, the tagged head of the free list
 //     (word 0) plus one reader-writer lock word per block (words 1..#blocks),
-//     used by the transaction layer for the per-vertex locks of §5.6.
+//     used by the transaction layer for the per-vertex locks of §5.6. Block
+//     0 is never allocated, so its lock word (word 1) guards no payload; it
+//     serves as the rank's stub epoch word (EpochWord).
 //
 // Blocks are addressed with 64-bit DPtrs (16-bit rank, 48-bit block index).
 // Block index 0 of every rank is reserved so that DPtr 0 remains NULL.
@@ -295,6 +297,15 @@ func (s *Store) WriteBlocksBatch(origin fabric.Rank, dps []fabric.DPtr, payloads
 func (s *Store) LockWord(dp fabric.DPtr) (fabric.WordWin, fabric.Rank, int) {
 	s.checkDPtr(dp)
 	return s.sys, dp.Rank(), 1 + int(dp.Off())
+}
+
+// EpochWord returns the system window and word index of rank's stub epoch
+// word: the lock word of the never-allocated block 0. The transaction layer
+// write-locks it while live migration publishes a forwarding stub on the
+// rank (the release bumps its version), so a zero version with the write
+// bit clear proves the rank has never hosted a stub.
+func (s *Store) EpochWord(rank fabric.Rank) (fabric.WordWin, fabric.Rank, int) {
+	return s.sys, rank, 1
 }
 
 func (s *Store) checkDPtr(dp fabric.DPtr) {

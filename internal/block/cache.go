@@ -144,22 +144,44 @@ func (s *Store) invalidateCached(origin fabric.Rank, dp fabric.DPtr) {
 // This is the "CAS-free word train": revalidating any number of cached
 // holders on one rank costs a single remote round-trip.
 func (s *Store) LockStamps(origin fabric.Rank, dps []fabric.DPtr) []uint64 {
-	out := make([]uint64, len(dps))
-	byTarget := make(map[fabric.Rank][]int) // target -> positions in dps
+	words, _ := s.LockAndEpochStamps(origin, dps, nil)
+	return words
+}
+
+// LockAndEpochStamps is LockStamps plus the stub epoch words (EpochWord) of
+// the given ranks, folded into the same per-rank load trains: a commit
+// revalidating both costs no extra round-trip. The second result is aligned
+// with epochs.
+func (s *Store) LockAndEpochStamps(origin fabric.Rank, dps []fabric.DPtr, epochs []fabric.Rank) (words, epochWords []uint64) {
+	words = make([]uint64, len(dps))
+	epochWords = make([]uint64, len(epochs))
+	// target -> positions: i < len(dps) names dps[i], else epochs[i-len(dps)].
+	byTarget := make(map[fabric.Rank][]int)
 	for i, dp := range dps {
 		s.checkDPtr(dp)
 		byTarget[dp.Rank()] = append(byTarget[dp.Rank()], i)
 	}
+	for i, r := range epochs {
+		byTarget[r] = append(byTarget[r], len(dps)+i)
+	}
 	for t, pos := range byTarget {
 		idxs := make([]int, len(pos))
 		for j, i := range pos {
-			idxs[j] = 1 + int(dps[i].Off())
+			if i < len(dps) {
+				idxs[j] = 1 + int(dps[i].Off())
+			} else {
+				_, _, idxs[j] = s.EpochWord(t)
+			}
 		}
 		for j, w := range s.sys.LoadBatch(origin, t, idxs) {
-			out[pos[j]] = w
+			if i := pos[j]; i < len(dps) {
+				words[i] = w
+			} else {
+				epochWords[i-len(dps)] = w
+			}
 		}
 	}
-	return out
+	return words, epochWords
 }
 
 // LockStamp loads the single lock word guarding dp — the scalar form of

@@ -522,11 +522,13 @@ func (tx *Tx) Commit() error {
 			st.lock = lockNone
 		}
 		locks.ReleaseWriteTrain(tx.rank, wWords, wVers)
-		locks.ReleaseReadTrain(tx.rank, rWords)
+		locks.ReleaseReadTrain(tx.rank, append(rWords, tx.stubLocks...))
+		tx.stubLocks = nil
 	} else {
 		for _, st := range tx.verts {
 			tx.unlockState(st)
 		}
+		tx.releaseStubLocks()
 	}
 
 	// Replica fan-out, release: the marked follower words move to the
@@ -575,21 +577,35 @@ func (tx *Tx) encodeForCommit(st *vertexState, bs int) (stream []byte, fan, drop
 // still the latest committed state and the transaction serializes before
 // the writer (torn in-flight fetches were already rejected by the seqlock
 // double-check at read time).
+//
+// The stub epoch words a NoMigrationStubs verdict rests on ride the same
+// trains and must still be quiet. Unlike a vertex guard, a write-held epoch
+// fails: a migration that finds the word held proceeds without locking it
+// (stubepoch.go), so its stub may already be published.
 func (tx *Tx) validateOptimistic() error {
-	if !tx.optimistic() || len(tx.optReads) == 0 {
+	var epochs []fabric.Rank
+	if tx.stubs == stubsNone {
+		epochs = tx.eng.allRanks()
+	}
+	if !tx.optimistic() || len(tx.optReads)+len(epochs) == 0 {
 		return nil
 	}
 	dps := make([]fabric.DPtr, 0, len(tx.optReads))
 	for dp := range tx.optReads {
 		dps = append(dps, dp)
 	}
-	words := tx.eng.store.LockStamps(tx.rank, dps)
+	words, epochWords := tx.eng.store.LockAndEpochStamps(tx.rank, dps, epochs)
 	for i, dp := range dps {
 		if got := locks.Version(words[i]); got != tx.optReads[dp] {
 			tx.eng.optAborts.Add(1)
 			return tx.fail(fmt.Errorf("optimistic validation of %v: version %d, read at %d: %w",
 				dp, got, tx.optReads[dp], locks.ErrContended))
 		}
+	}
+	if !tx.eng.noteEpochs(epochs, epochWords) {
+		tx.eng.optAborts.Add(1)
+		return tx.fail(fmt.Errorf("optimistic validation: a live migration published a forwarding stub: %w",
+			locks.ErrContended))
 	}
 	return nil
 }
@@ -648,6 +664,7 @@ func (tx *Tx) abortLocked() {
 			tx.eng.store.ReleaseBlock(tx.rank, es.primary)
 		}
 	}
+	tx.releaseStubLocks()
 	tx.closed = true
 }
 

@@ -208,6 +208,10 @@ type Engine struct {
 	migSkips   atomic.Int64 // planned migrations skipped (contention/staleness)
 	forwards   atomic.Int64 // reads that chased a migration forwarding stub
 
+	// stubEpochs[r] is set once this process has seen rank r's stub epoch
+	// word bumped (see stubepoch.go); epochs never return to quiet.
+	stubEpochs []atomic.Bool
+
 	replicaReads atomic.Int64 // optimistic fetches served by a local follower
 	reseeds      atomic.Int64 // follower copies seeded (initial + repair)
 	promotions   atomic.Int64 // followers promoted to primary after a rank death
@@ -251,6 +255,8 @@ func NewEngine(f fabric.Transport, cfg Config) *Engine {
 		repl:    make([]*replicaShard, f.Size()),
 		dead:    make(map[fabric.Rank]bool),
 		cfg:     cfg,
+
+		stubEpochs: make([]atomic.Bool, f.Size()),
 	}
 	for r := range e.regs {
 		e.regs[r] = metadata.NewRegistry()
@@ -278,11 +284,12 @@ func NewEngine(f fabric.Transport, cfg Config) *Engine {
 		// bump-without-write releases (aborts after upgrade, no-op updates,
 		// migration secondary words) retire through the lock layer's
 		// write-unlock hook. Lock word 1+off guards block off; word 0 is the
-		// free-list head and never carries a version to preserve.
+		// free-list head and word 1 (block 0's) the stub epoch, neither of
+		// which guards a payload to preserve.
 		e.store.SetRetirer(e.snap)
 		sys, _, _ := e.store.LockWord(fabric.MakeDPtr(0, 1))
 		locks.SetReleaseHook(sys, func(target fabric.Rank, idx int) {
-			if idx >= 1 {
+			if idx >= 2 {
 				e.snap.Retire(target, uint64(idx-1))
 			}
 		})

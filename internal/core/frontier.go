@@ -25,7 +25,9 @@ func (h *VertexHandle) Matches(cons *constraint.Constraint) bool {
 // matched holds the handles of the frontier vertices that satisfy cons, in
 // deduped frontier order; next holds the union of their neighbors in
 // first-encounter order (mask 0 skips the harvest: associate + filter only,
-// the shape a traversal's final hop wants).
+// the shape a traversal's final hop wants). A frontier vertex that no longer
+// exists (an optimistic reader can see a neighbor deleted after it read the
+// edge) fails the expansion with ErrNotFound, as AssociateVertex would.
 func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constraint.Constraint) (matched []*VertexHandle, next []fabric.DPtr, err error) {
 	if len(frontier) == 0 {
 		return nil, nil, nil
@@ -39,7 +41,10 @@ func (tx *Tx) ExpandFrontier(frontier []fabric.DPtr, mask DirMask, cons *constra
 	}
 	matched = make([]*VertexHandle, 0, len(hs))
 	seenV := make(map[fabric.DPtr]struct{}, len(hs))
-	for _, h := range hs {
+	for i, h := range hs {
+		if h == nil {
+			return nil, nil, fmt.Errorf("%w: frontier vertex %v", ErrNotFound, frontier[i])
+		}
 		if _, dup := seenV[h.ID()]; dup {
 			continue
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/gdi-go/gdi/internal/collective"
@@ -31,6 +32,11 @@ import (
 // of P's content from before the vertex left must not accept it when the
 // vertex returns, which the lock-word version counters guarantee (every stub
 // and content write bumps them).
+//
+// Stub epochs (stubepoch.go): every rank that receives a stub has its epoch
+// word write-locked in the secondary lock train, unless the word is already
+// non-quiet, so a reader that relied on "no stubs anywhere" either pins the
+// word (locking) or fails its commit-time validation (optimistic).
 //
 // Concurrency: the exclusive lock on P serializes migration against every
 // writer and locking reader of the vertex (their read locks block the train,
@@ -64,6 +70,7 @@ type migCand struct {
 	dstFresh  bool         // dst came from the allocator (vs. a reused home)
 	secWords  []locks.Word // dst word + stub words of the other homes
 	secVers   []uint64
+	stubRanks []fabric.Rank // ranks the move publishes a forwarding stub on
 	newBlocks []fabric.DPtr
 	stream    []byte
 	ok        bool
@@ -261,8 +268,53 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 		for _, w := range words {
 			secTrain = append(secTrain, locks.TrainLock{Word: w})
 		}
+		c.stubRanks = append(c.stubRanks, c.mv.Old.Rank())
+		for _, h := range c.v.Homes {
+			if h != c.dst {
+				c.stubRanks = append(c.stubRanks, h.Rank())
+			}
+		}
+	}
+	// The same train write-locks the stub epoch word of every rank about to
+	// receive a stub, once per rank, unless this process already saw that
+	// epoch bumped (non-quietness is monotonic, so it needs no lock).
+	epochAt := len(secTrain)
+	var epochRanks []fabric.Rank
+	for _, c := range live {
+		if !c.ok {
+			continue
+		}
+		for _, r := range c.stubRanks {
+			if !e.stubEpochs[r].Load() && !slices.Contains(epochRanks, r) {
+				epochRanks = append(epochRanks, r)
+				secTrain = append(secTrain, locks.TrainLock{Word: e.epochWord(r)})
+			}
+		}
 	}
 	secVers, secHeld := locks.AcquireWriteTrainEach(me, secTrain, e.cfg.LockTries)
+	// An epoch word the train did not get is harmless once it is non-quiet
+	// (another migration holds or already bumped it); a quiet one is
+	// read-held by a transaction relying on it, which blocks every stub on
+	// that rank this round.
+	var epochHeld, missed, blocked []fabric.Rank
+	for i, r := range epochRanks {
+		if secHeld[epochAt+i] {
+			epochHeld = append(epochHeld, r)
+			relWords = append(relWords, secTrain[epochAt+i].Word)
+			relVers = append(relVers, secVers[epochAt+i])
+		} else {
+			missed = append(missed, r)
+		}
+	}
+	if len(missed) > 0 {
+		_, words := e.store.LockAndEpochStamps(me, nil, missed)
+		e.noteEpochs(missed, words)
+		for i, w := range words {
+			if epochQuiet(w) {
+				blocked = append(blocked, missed[i])
+			}
+		}
+	}
 	secAt := 0
 	for _, c := range live {
 		if !c.ok {
@@ -273,6 +325,11 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 		all := true
 		for i := lo; i < secAt; i++ {
 			if !secHeld[i] {
+				all = false
+			}
+		}
+		for _, r := range c.stubRanks {
+			if slices.Contains(blocked, r) {
 				all = false
 			}
 		}
@@ -390,6 +447,9 @@ func (e *Engine) MigrateVertices(me fabric.Rank, moves []MigrationMove) (int, er
 		relVers = append(relVers, c.secVers...)
 	}
 	locks.ReleaseWriteTrain(me, relWords, relVers)
+	for _, r := range epochHeld {
+		e.stubEpochs[r].Store(true)
+	}
 	for _, c := range replSkip {
 		e.bumpMirrors(me, c.v, c.ver)
 	}

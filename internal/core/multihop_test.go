@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"github.com/gdi-go/gdi/internal/holder"
@@ -226,5 +227,37 @@ func TestLaggingFollowerMultiHopReadValidatesPrimary(t *testing.T) {
 	}
 	if got := e.OptimisticAborts(); got != aborts+1 {
 		t.Fatalf("OptimisticAborts = %d, want %d", got, aborts+1)
+	}
+}
+
+// TestExpandFrontierDeletedNeighborIsAnError: an optimistic reader that
+// harvested A's edge to V and then finds V deleted by a concurrent commit
+// gets ErrNotFound from the next hop, as the per-vertex walk does, not a nil
+// handle dereference; the stale read then fails commit validation.
+func TestExpandFrontierDeletedNeighborIsAnError(t *testing.T) {
+	e := NewEngine(rma.New(2), Config{BlockSize: 64, BlocksPerRank: 1 << 12, LockTries: 256, OptimisticReads: true})
+	dpA, dpV, _ := seedTwoHopGraph(t, e, 2)
+
+	ro := e.StartLocal(0, ReadOnly)
+	defer ro.Abort()
+	_, next, err := ro.ExpandFrontier([]rma.DPtr{dpA}, MaskOut, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) != 1 || next[0] != dpV {
+		t.Fatalf("hop 1 harvested %v, want [%v]", next, dpV)
+	}
+	w := e.StartLocal(1, ReadWrite)
+	if err := w.DeleteVertex(dpV); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ro.ExpandFrontier(next, 0, nil); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("expanding a deleted neighbor = %v, want ErrNotFound", err)
+	}
+	if err := ro.Commit(); !errors.Is(err, ErrTxCritical) {
+		t.Fatalf("commit after reading a deleted neighbor's edge = %v, want ErrTxCritical", err)
 	}
 }

@@ -104,6 +104,8 @@ type Tx struct {
 	pending   []*VertexFuture             // queued non-blocking associations
 	optReads  map[fabric.DPtr]uint64      // optimistic tier: vertex -> version observed
 	moved     map[fabric.DPtr]fabric.DPtr // migration aliases chased: old -> new primary
+	stubs     stubVerdict                 // NoMigrationStubs verdict, taken once
+	stubLocks []locks.Word                // stub epoch words read-held until close
 	critical  error                       // sticky transaction-critical failure
 	closed    bool
 }

@@ -29,12 +29,15 @@ const (
 
 	// MaxHops bounds traversal depth (and Validate enforces it too).
 	MaxHops = 16
-	// MaxLimit bounds the row cap a pattern may request.
+	// MaxLimit bounds the row cap a pattern may request (and Validate
+	// enforces it too).
 	MaxLimit = 1 << 20
 	// MaxSubs, MaxConds and MaxOperand bound one predicate's DNF size.
 	MaxSubs    = 16
 	MaxConds   = 16
 	MaxOperand = 1 << 12
+
+	maxConsVersion = 1 << 62
 )
 
 // Encode appends the pattern's canonical wire form to dst.
@@ -186,7 +189,7 @@ func Decode(buf []byte) (*Pattern, error) {
 }
 
 func (d *decoder) constraint(hop int) *constraint.Constraint {
-	c := &constraint.Constraint{Version: d.uvarint(1<<62, "constraint version")}
+	c := &constraint.Constraint{Version: d.uvarint(maxConsVersion, "constraint version")}
 	nsubs := int(d.uvarint(MaxSubs, "subconstraint count"))
 	for s := 0; s < nsubs && d.err == nil; s++ {
 		var sub constraint.Subconstraint

@@ -10,9 +10,23 @@
 // groups the fetches by owner rank into one vectored GET train per rank,
 // folds forwarding-stub chases and multi-block continuation reads into the
 // following rounds of the same flush, and serves replica- and cache-eligible
-// fetches with no traffic at all. A k-hop pattern therefore costs k+1
-// association rounds regardless of frontier width, where the naive reference
-// (RunNaive) pays one scalar AssociateVertex round-trip per frontier vertex.
+// fetches with no traffic at all. A k-hop pattern without a LIMIT therefore
+// costs k+1 association rounds regardless of frontier width, where the naive
+// reference (RunNaive) pays one scalar AssociateVertex round-trip per
+// frontier vertex.
+//
+// A k-hop pattern with a LIMIT pushes the limit into its final round: rows
+// are ordered by DPtr, so Run associates the final frontier in ascending
+// DPtr order, in chunks of 2×Limit that double each round, and stops once
+// Limit candidates match the last hop's predicate. Candidates past the cut
+// are never read, so they can neither fail nor abort the query. The early
+// stop is exact only if no skipped candidate is a live-migration forwarding
+// stub whose vertex now sorts below the cut; core.Tx.NoMigrationStubs
+// proves that (and keeps it so until the transaction commits), and when it
+// cannot, the whole final frontier is associated in one round as without a
+// LIMIT. RunNaive never pushes down: it reads the whole final frontier and
+// cuts after the sort.
+//
 // Both executors return canonically sorted rows, so their results are
 // bit-identical — the golden-equivalence contract the tests pin across both
 // holder codecs and replicated stores.
@@ -21,6 +35,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/gdi-go/gdi/internal/constraint"
@@ -74,8 +89,10 @@ type Pattern struct {
 	// (mask + predicate on both far corners); it defaults to MaskAll/nil
 	// when absent.
 	Hops []Hop
-	// Limit caps the rows returned, applied AFTER the canonical sort so a
-	// limited result is a deterministic prefix; 0 means unlimited.
+	// Limit caps the rows returned: the result is the first Limit rows of
+	// the canonical order, a deterministic prefix; 0 means unlimited. At
+	// most MaxLimit. Run pushes a KHop limit into the final hop and reads
+	// only the lowest-ordered candidates (see the package comment).
 	Limit int
 	// Project, when HasProject, attaches the named property of each row's
 	// last vertex to the row.
@@ -123,9 +140,44 @@ func (p *Pattern) Validate() error {
 		if h.Mask == 0 || h.Mask&^core.MaskAll != 0 {
 			return fmt.Errorf("%w: hop %d has invalid direction mask %#x", ErrBadPattern, i, uint8(h.Mask))
 		}
+		if err := validateCons(h.Cons); err != nil {
+			return fmt.Errorf("%w: hop %d: %v", ErrBadPattern, i, err)
+		}
 	}
 	if p.Limit < 0 {
 		return fmt.Errorf("%w: negative limit", ErrBadPattern)
+	}
+	if p.Limit > MaxLimit {
+		return fmt.Errorf("%w: limit %d exceeds the maximum of %d", ErrBadPattern, p.Limit, MaxLimit)
+	}
+	return nil
+}
+
+// validateCons applies the wire-format bounds to one hop's predicate, so a
+// pattern that validates always encodes to bytes Decode accepts.
+func validateCons(c *constraint.Constraint) error {
+	if c == nil {
+		return nil
+	}
+	if c.Version > maxConsVersion {
+		return fmt.Errorf("constraint version %d exceeds %d", c.Version, uint64(maxConsVersion))
+	}
+	if len(c.Subs) > MaxSubs {
+		return fmt.Errorf("%d subconstraints exceed %d", len(c.Subs), MaxSubs)
+	}
+	for _, sub := range c.Subs {
+		if len(sub.Labels) > MaxConds || len(sub.Props) > MaxConds {
+			return fmt.Errorf("subconstraint with %d label and %d property conditions exceeds %d",
+				len(sub.Labels), len(sub.Props), MaxConds)
+		}
+		for _, pc := range sub.Props {
+			if pc.Op > constraint.OpPrefix {
+				return fmt.Errorf("unknown op %d", uint8(pc.Op))
+			}
+			if len(pc.Operand) > MaxOperand {
+				return fmt.Errorf("operand of %d bytes exceeds %d", len(pc.Operand), MaxOperand)
+			}
+		}
 	}
 	return nil
 }
@@ -139,19 +191,21 @@ func (p *Pattern) Validate() error {
 type expander func(frontier []fabric.DPtr, mask core.DirMask, cons *constraint.Constraint) ([]*core.VertexHandle, []fabric.DPtr, error)
 
 // Run executes the pattern with the compiled frontier-batched plan: one
-// association round (one train per owner rank) per hop.
+// association round (one train per owner rank) per hop, with a KHop LIMIT
+// pushed into the final hop.
 func Run(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
-	return run(tx, src, p, tx.ExpandFrontier)
+	return run(tx, src, p, tx.ExpandFrontier, true)
 }
 
 // RunNaive executes the pattern with the per-vertex reference walk: one
-// scalar AssociateVertex per frontier vertex per hop. It exists as the
-// golden reference and the ablation baseline.
+// scalar AssociateVertex per frontier vertex per hop, the whole final
+// frontier read before the LIMIT cut. It exists as the golden reference and
+// the ablation baseline.
 func RunNaive(tx *core.Tx, src fabric.DPtr, p *Pattern) (*Result, error) {
-	return run(tx, src, p, naiveExpand(tx))
+	return run(tx, src, p, naiveExpand(tx), false)
 }
 
-func run(tx *core.Tx, src fabric.DPtr, p *Pattern, ex expander) (*Result, error) {
+func run(tx *core.Tx, src fabric.DPtr, p *Pattern, ex expander, pushdown bool) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -161,7 +215,7 @@ func run(tx *core.Tx, src fabric.DPtr, p *Pattern, ex expander) (*Result, error)
 	)
 	switch p.Kind {
 	case KHop:
-		rows, err = runKHop(src, p, ex)
+		rows, err = runKHop(tx, src, p, ex, pushdown)
 	case Triangle:
 		rows, err = runTriangle(src, p, ex)
 	case Path:
@@ -176,26 +230,22 @@ func run(tx *core.Tx, src fabric.DPtr, p *Pattern, ex expander) (*Result, error)
 // runKHop is BFS layering: round i associates the layer-i frontier (one
 // train per rank under the compiled expander), filters it by the predicate
 // of the hop that reached it, and harvests the next layer under hop i's
-// mask. Visited vertices never re-enter a frontier, so a k-hop costs exactly
-// k+1 association rounds.
-func runKHop(src fabric.DPtr, p *Pattern, ex expander) ([]Row, error) {
+// mask. Visited vertices never re-enter a frontier, so a k-hop costs k+1
+// association rounds — except that under pushdown a limited final round
+// reads only its lowest-ordered candidates, in as many rounds as it takes
+// to match Limit of them (finalRound).
+func runKHop(tx *core.Tx, src fabric.DPtr, p *Pattern, ex expander, pushdown bool) ([]Row, error) {
 	frontier := []fabric.DPtr{src}
 	visited := map[fabric.DPtr]struct{}{src: {}}
-	var last []*core.VertexHandle
-	for i := 0; i <= len(p.Hops); i++ {
+	for i, hop := range p.Hops {
 		var cons *constraint.Constraint
 		if i > 0 {
 			cons = p.Hops[i-1].Cons
 		}
-		mask := core.DirMask(0) // final round: associate + filter only
-		if i < len(p.Hops) {
-			mask = p.Hops[i].Mask
-		}
-		matched, next, err := ex(frontier, mask, cons)
+		_, next, err := ex(frontier, hop.Mask, cons)
 		if err != nil {
 			return nil, err
 		}
-		last = matched
 		frontier = frontier[:0]
 		for _, nb := range next {
 			if _, seen := visited[nb]; !seen {
@@ -204,11 +254,55 @@ func runKHop(src fabric.DPtr, p *Pattern, ex expander) ([]Row, error) {
 			}
 		}
 	}
+	cons := p.Hops[len(p.Hops)-1].Cons
+	var last []*core.VertexHandle
+	var err error
+	if pushdown && p.Limit > 0 {
+		last, err = finalRound(tx, frontier, cons, p.Limit)
+	} else {
+		last, _, err = ex(frontier, 0, cons) // associate + filter only
+	}
+	if err != nil {
+		return nil, err
+	}
 	rows := make([]Row, 0, len(last))
 	for _, h := range last {
 		rows = append(rows, Row{Verts: []fabric.DPtr{h.ID()}})
 	}
 	return rows, nil
+}
+
+// finalRound is the LIMIT pushdown: it associates the final frontier in
+// ascending DPtr order — the canonical row order — in chunks of 2×limit
+// that double each round, and stops once limit candidates match cons.
+// Every candidate below the cut has been read, so the matched set contains
+// the limit lowest-ordered rows, provided no skipped candidate is a
+// forwarding stub whose vertex now sorts below the cut; without that proof
+// the whole frontier is associated in one round.
+func finalRound(tx *core.Tx, frontier []fabric.DPtr, cons *constraint.Constraint, limit int) ([]*core.VertexHandle, error) {
+	chunk := 2 * limit
+	if len(frontier) > chunk {
+		exact, err := tx.NoMigrationStubs()
+		if err != nil {
+			return nil, err
+		}
+		if exact {
+			slices.Sort(frontier)
+		} else {
+			chunk = len(frontier)
+		}
+	}
+	var matched []*core.VertexHandle
+	for lo := 0; lo < len(frontier) && len(matched) < limit; chunk *= 2 {
+		hi := min(lo+chunk, len(frontier))
+		m, _, err := tx.ExpandFrontier(frontier[lo:hi], 0, cons)
+		if err != nil {
+			return nil, err
+		}
+		matched = append(matched, m...)
+		lo = hi
+	}
+	return matched, nil
 }
 
 // runTriangle closes wedges: associate the source's neighbors in one round,
